@@ -2,7 +2,9 @@
 and graph exports.
 
 Exit codes: 0 success (including vacuous verifications), 1 verification
-failure, 2 usage error, 3 resource budget exceeded.
+failure, 2 usage error (including a malformed POLYFLIP_NODE_BUDGET), 3
+resource budget exceeded.  `verify --workers` is accepted for compatibility
+and ignored; every run is single-threaded and its output never depended on it.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     BudgetExceededError,
     Polygon,
@@ -24,8 +24,8 @@ from .core import (
     parse_diagonals,
     validate_triangulation,
 )
-from .flips import build_slice, catalan, max_degrees, node_budget, orbit_codes
-from .metrics import bfs_distances, eccentricity, flip_distance
+from .flips import build_slice, catalan, max_degrees, node_budget
+from .metrics import eccentricities, eccentricity, flip_distance
 from .constructions import (
     central_triangle,
     eccentric_family,
@@ -44,7 +44,6 @@ BUDGET_ERROR = 3
 class RunConfig:
     ns: list
     fmt: str = "text"
-    workers: int = 1
     max_nodes: Optional[int] = None
     output: Optional[str] = None
     timestamp: bool = True
@@ -131,21 +130,11 @@ def cmd_eccentricity(config: RunConfig) -> int:
 
 
 def cmd_profile(config: RunConfig) -> int:
-    """Eccentricity histogram per comb-gap stratum, one BFS per dihedral
-    orbit (eccentricity is invariant under polygon relabeling)."""
+    """Eccentricity histogram per comb-gap stratum."""
     n = config.ns[0]
     slc = build_slice(n, config.max_nodes)
     gaps = (n - 3) - max_degrees(slc)
-    codes = orbit_codes(slc)
-    _, inverse = np.unique(codes, axis=0, return_inverse=True)
-    rep_ecc = {}
-    eccs = np.empty(len(slc), dtype=np.int32)
-    for i in range(len(slc)):
-        group = int(inverse[i])
-        if group not in rep_ecc:
-            rep_ecc[group] = int(bfs_distances(slc, i).max())
-        eccs[i] = rep_ecc[group]
-    strata = Counter(zip(gaps.tolist(), eccs.tolist()))
+    strata = Counter(zip(gaps.tolist(), eccentricities(slc).tolist()))
     rows = [
         {"k": int(k), "eccentricity": int(e), "count": c}
         for (k, e), c in sorted(strata.items())
@@ -214,7 +203,7 @@ def _emit_witness(config: RunConfig, payload: dict):
 def cmd_verify(config: RunConfig) -> int:
     claims = config.extra["claims"]
     reports = [
-        run_claim(claim, n, workers=config.workers, max_nodes=config.max_nodes)
+        run_claim(claim, n, max_nodes=config.max_nodes)
         for claim in claims
         for n in config.ns
     ]
@@ -309,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
     p.add_argument("--claim", choices=sorted(CLAIMS), default=None)
     p.add_argument("--all", action="store_true", dest="all_claims")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     p.add_argument("--no-timestamp", action="store_true",
                    help="suppress timestamps and timings for reproducible output")
     p.set_defaults(handler=cmd_verify)
@@ -354,7 +344,6 @@ def _config_from_args(args) -> RunConfig:
         else:
             raise ValueError("verify needs --claim or --all")
         config.extra = {"claims": claims}
-        config.workers = args.workers
         config.timestamp = not args.no_timestamp
     if args.command != "verify" and len(ns) != 1:
         raise ValueError(f"{args.command} takes a single n, not a range")

@@ -30,7 +30,14 @@ def node_budget(override=None) -> int:
     if override is not None:
         return override
     env = os.environ.get("POLYFLIP_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    if not env:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError(
+            f"POLYFLIP_NODE_BUDGET={env!r} is not an integer node count"
+        ) from None
 
 
 def catalan(m: int) -> int:
@@ -256,10 +263,10 @@ def orbit_codes(slc: FlipGraphSlice) -> np.ndarray:
 
 
 def orbit_representatives(slc: FlipGraphSlice) -> np.ndarray:
-    """Indices of the lexicographically-least node of each dihedral orbit."""
-    nodes = len(slc)
-    if slc.n == 3 or nodes == 1:
-        return np.arange(nodes)
-    key_arr = np.array(slc.keys, dtype=np.int64)
-    own = np.sort(key_arr[:, :, 0] * slc.n + key_arr[:, :, 1], axis=1)
-    return np.where((orbit_codes(slc) == own).all(axis=1))[0]
+    """Indices of the lexicographically-least node of each dihedral orbit.
+
+    An orbit's code is the key of its least member and node order is key
+    order, so each code's first occurrence is that member.
+    """
+    _, first = np.unique(orbit_codes(slc), axis=0, return_index=True)
+    return np.sort(first)

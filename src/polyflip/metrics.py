@@ -16,7 +16,7 @@ from .flips import (
     FlipMove,
     build_slice,
     neighbor_moves,
-    orbit_representatives,
+    orbit_codes,
 )
 
 
@@ -51,10 +51,6 @@ def _require_same_polygon(t: Triangulation, u: Triangulation):
         raise TriangulationError("triangulations live on different polygons")
 
 
-def _quad_of(n: int, key: tuple, removed, inserted) -> tuple:
-    return tuple(sorted(set(removed) | set(inserted)))
-
-
 def flip_distance(t: Triangulation, u: Triangulation) -> DistanceResult:
     """Exact shortest flip path, with one realizing geodesic.
 
@@ -78,7 +74,7 @@ def flip_distance(t: Triangulation, u: Triangulation) -> DistanceResult:
             for removed, new_key, inserted in neighbor_moves(n, key):
                 if new_key in parents[side] or new_key in grown:
                     continue
-                move = FlipMove(removed, inserted, _quad_of(n, key, removed, inserted))
+                move = FlipMove(removed, inserted, tuple(sorted(removed + inserted)))
                 grown[new_key] = (key, move)
         frontiers = (
             (sorted(grown), frontiers[1]) if side == 0 else (frontiers[0], sorted(grown))
@@ -127,21 +123,35 @@ def _relabel_move(m: FlipMove, relabel: dict) -> FlipMove:
 
 def bfs_distances(slc: FlipGraphSlice, source: int) -> np.ndarray:
     """Distances from one slice node to every node."""
-    nodes = len(slc)
-    dist = np.full(nodes, -1, dtype=np.int32)
+    dist = np.full(len(slc), -1, dtype=np.int32)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
-    while frontier.size and slc.adjacency.shape[1]:
-        level += 1
+    while True:
         nxt = slc.adjacency[frontier].ravel()
         nxt = nxt[dist[nxt] < 0]
         if nxt.size == 0:
-            break
-        nxt = np.unique(nxt)
+            return dist
+        level += 1
         dist[nxt] = level
-        frontier = nxt
-    return dist
+        frontier = np.flatnonzero(dist == level)
+
+
+def eccentricities(slc: FlipGraphSlice, nodes=None) -> np.ndarray:
+    """Eccentricity of every slice node, or of `nodes` in the given order.
+
+    Relabelings of the polygon are flip-graph automorphisms, so one BFS from
+    the least member of each dihedral orbit that `nodes` touches settles the
+    whole orbit.
+    """
+    _, first, inverse = np.unique(
+        orbit_codes(slc), axis=0, return_index=True, return_inverse=True
+    )
+    wanted = inverse if nodes is None else inverse[np.asarray(nodes, dtype=np.int64)]
+    orbit_ecc = np.zeros(len(first), dtype=np.int32)
+    for orbit in np.unique(wanted):
+        orbit_ecc[orbit] = bfs_distances(slc, int(first[orbit])).max()
+    return orbit_ecc[wanted]
 
 
 @lru_cache(maxsize=8)
@@ -185,15 +195,6 @@ def distance_upper_bound(t: Triangulation, u: Triangulation) -> int:
 
 
 def diameter_radius(n: int, max_nodes=None) -> tuple[int, int]:
-    """Exact diameter and radius of the flip graph of the n-gon.
-
-    BFS only from one representative per dihedral orbit: relabelings are
-    automorphisms, so every eccentricity value is still seen.
-    """
-    slc = build_slice(n, max_nodes)
-    diameter, radius = 0, None
-    for rep in orbit_representatives(slc):
-        ecc = int(bfs_distances(slc, int(rep)).max())
-        diameter = max(diameter, ecc)
-        radius = ecc if radius is None else min(radius, ecc)
-    return diameter, radius
+    """Exact diameter and radius of the flip graph of the n-gon."""
+    eccs = eccentricities(build_slice(n, max_nodes))
+    return int(eccs.max()), int(eccs.min())

@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .flips import (
     node_budget,
     orbit_representatives,
 )
-from .metrics import bfs_distances, distance_matrix, flip_distance
+from .metrics import bfs_distances, distance_matrix, eccentricities, flip_distance
 from .constructions import (
     comb,
     eccentric_family,
@@ -71,15 +70,10 @@ class VerificationReport:
         )
 
 
-def _fan_out(items, fn, workers: int) -> tuple:
-    """Apply fn across items, possibly on several workers; the aggregated
-    failure list is sorted so the report is scheduling-independent."""
-    if workers <= 1:
-        chunks = [fn(x) for x in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(fn, items))
-    failures = [f for chunk in chunks for f in chunk]
+def _sorted_failures(items, fn) -> tuple:
+    """Apply fn across items and return the failures it lists, sorted so the
+    report does not depend on item order."""
+    failures = [f for x in items for f in fn(x)]
     failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
     return tuple(failures)
 
@@ -94,33 +88,40 @@ def _gap_values(slc) -> np.ndarray:
     return (slc.n - 3) - max_degrees(slc)
 
 
-def verify_close(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def _gap_formula_failures(slc, gaps, eligible) -> tuple:
+    """Failures for the nodes among `eligible` whose eccentricity is not
+    n-3+k."""
+    eccs = eccentricities(slc, eligible)
+
+    def check(j) -> list:
+        i = int(eligible[j])
+        expected = slc.n - 3 + int(gaps[i])
+        if eccs[j] != expected:
+            return [
+                {
+                    "t": slc.triangulation(i).text(),
+                    "k": int(gaps[i]),
+                    "eccentricity": int(eccs[j]),
+                    "expected": expected,
+                }
+            ]
+        return []
+
+    return _sorted_failures(range(len(eligible)), check)
+
+
+def verify_close(n: int, max_nodes=None) -> VerificationReport:
     """Eccentricity equals n-3+k for every triangulation whose comb gap k
     stays at most n/2-2."""
     started = time.perf_counter()
     slc = build_slice(n, max_nodes)
     gaps = _gap_values(slc)
     eligible = np.nonzero(2 * gaps <= n - 4)[0]
-
-    def check(i) -> list:
-        ecc = int(bfs_distances(slc, int(i)).max())
-        expected = n - 3 + int(gaps[i])
-        if ecc != expected:
-            return [
-                {
-                    "t": slc.triangulation(int(i)).text(),
-                    "k": int(gaps[i]),
-                    "eccentricity": ecc,
-                    "expected": expected,
-                }
-            ]
-        return []
-
-    failures = _fan_out(eligible, check, workers)
+    failures = _gap_formula_failures(slc, gaps, eligible)
     return _finish("close", n, len(eligible), failures, started)
 
 
-def verify_omega(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def verify_omega(n: int, max_nodes=None) -> VerificationReport:
     """The witness-set story at every (T, v): the constructed witness is a
     member at distance >= n-3+k, every member found by scanning is that far
     too, and no member exists once k exceeds n/2-2."""
@@ -187,11 +188,11 @@ def verify_omega(n: int, workers: int = 1, max_nodes=None) -> VerificationReport
                         )
         return fails
 
-    failures = _fan_out(range(count), check, workers)
+    failures = _sorted_failures(range(count), check)
     return _finish("omega", n, count * n, failures, started)
 
 
-def verify_far(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def verify_far(n: int, max_nodes=None) -> VerificationReport:
     """Both far-witness bounds and the global eccentricity lower bound
     4*ecc >= 4n+k-21, for every triangulation."""
     started = time.perf_counter()
@@ -243,11 +244,11 @@ def verify_far(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
             )
         return fails
 
-    failures = _fan_out(range(len(slc)), check, workers)
+    failures = _sorted_failures(range(len(slc)), check)
     return _finish("far", n, len(slc), failures, started)
 
 
-def verify_characterization(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def verify_characterization(n: int, max_nodes=None) -> VerificationReport:
     """Eccentricity n-3+k iff a vertex of interior degree n-3-k, for k up to
     n/8-5/2: vacuous below n=20, and checked at the k=0 comb sub-case beyond
     full-search scale via the upper/lower bound sandwich."""
@@ -265,22 +266,7 @@ def verify_characterization(n: int, workers: int = 1, max_nodes=None) -> Verific
         slc = build_slice(n, max_nodes)
         gaps = _gap_values(slc)
         eligible = np.nonzero(gaps <= k_top)[0]
-
-        def check(i) -> list:
-            ecc = int(bfs_distances(slc, int(i)).max())
-            k = int(gaps[i])
-            if ecc != n - 3 + k:
-                return [
-                    {
-                        "t": slc.triangulation(int(i)).text(),
-                        "k": k,
-                        "eccentricity": ecc,
-                        "expected": n - 3 + k,
-                    }
-                ]
-            return []
-
-        failures = list(_fan_out(eligible, check, workers))
+        failures = list(_gap_formula_failures(slc, gaps, eligible))
         instances = len(eligible)
     else:
         # k = 0: the comb.  Its largest interior degree is n-3, so no
@@ -310,7 +296,7 @@ def verify_characterization(n: int, workers: int = 1, max_nodes=None) -> Verific
     return _finish("characterization", n, instances, failures, started, notes)
 
 
-def verify_remark_family(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
     """The staircase family: comb gap exactly k and eccentricity at most
     n-4+k throughout n/2-2 < k <= n-5; for n > 12, two max-degree-4
     triangulations at distance 2n-10 next to one of eccentricity <= 2n-11."""
@@ -340,24 +326,17 @@ def verify_remark_family(n: int, workers: int = 1, max_nodes=None) -> Verificati
             )
         return fails
 
-    failures = list(_fan_out(ks, check, workers))
+    failures = list(_sorted_failures(ks, check))
     instances = len(ks)
     if n > 12:
         degs = max_degrees(slc)
         four = degs == 4
         reps = [int(r) for r in orbit_representatives(slc) if four[r]]
-
-        def sweep(r) -> tuple:
+        widest, calmest = 0, 2 * n
+        for r in reps:
             dist = bfs_distances(slc, r)
-            return int(dist[four].max()), int(dist.max())
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                sweeps = list(pool.map(sweep, reps))
-        else:
-            sweeps = [sweep(r) for r in reps]
-        widest = max(s[0] for s in sweeps)
-        calmest = min(s[1] for s in sweeps)
+            widest = max(widest, int(dist[four].max()))
+            calmest = min(calmest, int(dist.max()))
         instances += 1
         if widest != 2 * n - 10:
             failures.append(
@@ -386,7 +365,7 @@ def verify_remark_family(n: int, workers: int = 1, max_nodes=None) -> Verificati
     return _finish("remark_family", n, instances, failures, started, notes)
 
 
-def verify_deletion_lemmas(n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+def verify_deletion_lemmas(n: int, max_nodes=None) -> VerificationReport:
     """Vertex-deletion distance inequalities over every pair: monotonicity,
     the incident-flip counting bound along one geodesic per pair, and the
     ear-with-two-edges step of +2."""
@@ -468,7 +447,7 @@ def verify_deletion_lemmas(n: int, workers: int = 1, max_nodes=None) -> Verifica
                         )
         return fails
 
-    failures = _fan_out(range(count), check, workers)
+    failures = _sorted_failures(range(count), check)
     return _finish("deletion", n, count * (count + 1) // 2, failures, started)
 
 
@@ -483,14 +462,16 @@ CLAIMS = {
 
 
 def run_claim(claim: str, n: int, workers: int = 1, max_nodes=None) -> VerificationReport:
+    """Run one claim; `workers` is accepted for compatibility and ignored."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
-    return CLAIMS[claim](n, workers=workers, max_nodes=max_nodes)
+    return CLAIMS[claim](n, max_nodes=max_nodes)
 
 
 def run_all(ns, workers: int = 1, max_nodes=None) -> list:
+    """Every claim at every n; `workers` is accepted and ignored."""
     return [
-        run_claim(claim, n, workers=workers, max_nodes=max_nodes)
+        run_claim(claim, n, max_nodes=max_nodes)
         for claim in CLAIMS
         for n in ns
     ]

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from polyflip import Triangulation
+from polyflip import Triangulation, bfs_distances, build_slice
 from polyflip.cli import main
 
 
@@ -65,6 +66,18 @@ def test_profile_command(capsys):
     assert "k=0 ecc=3 count=6" in lines
     assert "k=1 ecc=4 count=8" in lines
     assert lines[-1] == "count=14"
+
+
+def test_profile_matches_per_node_bfs(capsys):
+    code, out, _ = run(capsys, "profile", "--n", "8", "--format", "json")
+    assert code == 0
+    slc = build_slice(8)
+    expected = Counter(
+        (slc.triangulation(i).comb_gap(), int(bfs_distances(slc, i).max()))
+        for i in range(len(slc))
+    )
+    strata = json.loads(out)["strata"]
+    assert {(r["k"], r["eccentricity"]): r["count"] for r in strata} == expected
 
 
 def test_witness_commands(capsys):
@@ -157,6 +170,14 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--max-nodes", "10")
     assert code == 3
     assert "budget" in err
+
+
+def test_bad_node_budget_variable_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "abc")
+    code, _, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 2
+    assert "POLYFLIP_NODE_BUDGET" in err
+    assert "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

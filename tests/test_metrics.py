@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from polyflip import (
     diameter_radius,
     distance_matrix,
     distance_upper_bound,
+    eccentricities,
     eccentricity,
     enumerate_all,
     flip_distance,
     neighbors,
+    orbit_representatives,
     validate_triangulation,
 )
 
@@ -49,6 +54,36 @@ def test_distance_agrees_with_networkx(n):
         for j in range(len(slc)):
             t, u = slc.triangulation(i), slc.triangulation(j)
             assert flip_distance(t, u).distance == oracle[i][j]
+    eccs = eccentricities(slc)
+    for i in range(len(slc)):
+        assert bfs_distances(slc, i).tolist() == [oracle[i][j] for j in range(len(slc))]
+        assert eccs[i] == max(oracle[i].values())
+
+
+def test_eccentricities_of_nodes_outside_the_representatives():
+    slc = build_slice(9)
+    reps = set(orbit_representatives(slc).tolist())
+    nodes = [i for i in reversed(range(len(slc))) if i not in reps]
+    assert nodes
+    eccs = eccentricities(slc, nodes)
+    assert len(eccs) == len(nodes)
+    for i, ecc in zip(nodes, eccs):
+        assert ecc == bfs_distances(slc, i).max()
+
+
+def test_bfs_rows_agree_with_queue_bfs_n12():
+    slc = build_slice(12)
+    for source in random.Random(12).sample(range(len(slc)), 5):
+        dist = [-1] * len(slc)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            i = queue.popleft()
+            for j in slc.adjacency[i].tolist():
+                if dist[j] < 0:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        assert bfs_distances(slc, source).tolist() == dist
 
 
 def test_geodesic_replays_to_target():
