@@ -23,7 +23,13 @@ from .flips import (
     node_budget,
     orbit_representatives,
 )
-from .metrics import bfs_distances, distance_matrix, eccentricities, flip_distance
+from .metrics import (
+    bfs_distances,
+    distance_matrix,
+    eccentricities,
+    farthest,
+    flip_distance,
+)
 from .constructions import (
     comb,
     eccentric_family,
@@ -313,7 +319,7 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
             fails.append(
                 {"k": k, "t": fam.text(), "gap": fam.comb_gap(), "problem": "wrong comb gap"}
             )
-        ecc = int(bfs_distances(slc, slc.index_of(fam)).max())
+        ecc = int(farthest(slc, [slc.index_of(fam)])[0])
         if ecc > n - 4 + k:
             fails.append(
                 {
@@ -331,12 +337,10 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
     if n > 12:
         degs = max_degrees(slc)
         four = degs == 4
-        reps = [int(r) for r in orbit_representatives(slc) if four[r]]
-        widest, calmest = 0, 2 * n
-        for r in reps:
-            dist = bfs_distances(slc, r)
-            widest = max(widest, int(dist[four].max()))
-            calmest = min(calmest, int(dist.max()))
+        reps = orbit_representatives(slc)
+        reps = reps[four[reps]]
+        widest = int(farthest(slc, reps, four).max())
+        calmest = int(farthest(slc, reps).min())
         instances += 1
         if widest != 2 * n - 10:
             failures.append(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyflip import (
+    PreconditionError,
     Triangulation,
     TriangulationError,
     bfs_distances,
@@ -17,6 +18,7 @@ from polyflip import (
     eccentricities,
     eccentricity,
     enumerate_all,
+    farthest,
     flip_distance,
     neighbors,
     orbit_representatives,
@@ -69,6 +71,65 @@ def test_eccentricities_of_nodes_outside_the_representatives():
     assert len(eccs) == len(nodes)
     for i, ecc in zip(nodes, eccs):
         assert ecc == bfs_distances(slc, i).max()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_eccentricities_match_per_node_bfs(n):
+    slc = build_slice(n)
+    expected = [int(bfs_distances(slc, i).max()) for i in range(len(slc))]
+    assert eccentricities(slc).tolist() == expected
+
+
+def test_diameter_radius_of_triangle_and_square():
+    assert diameter_radius(3) == (0, 0)
+    assert diameter_radius(4) == (1, 1)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 129])
+def test_farthest_batches_across_word_boundary(count):
+    slc = build_slice(11)
+    sources = random.Random(count).sample(range(len(slc)), count)
+    expected = [int(bfs_distances(slc, s).max()) for s in sources]
+    assert farthest(slc, sources).tolist() == expected
+
+
+def test_farthest_with_target_masks():
+    slc = build_slice(9)
+    rng = np.random.default_rng(9)
+    sources = rng.choice(len(slc), 70, replace=False)
+    single = np.zeros(len(slc), dtype=bool)
+    single[17] = True
+    masks = [rng.random(len(slc)) < p for p in (0.01, 0.2, 0.7)] + [single]
+    for mask in masks:
+        expected = [int(bfs_distances(slc, s)[mask].max()) for s in sources]
+        assert farthest(slc, sources, mask).tolist() == expected
+    none = np.zeros(len(slc), dtype=bool)
+    assert farthest(slc, sources, none).tolist() == [0] * len(sources)
+
+
+def test_farthest_repeated_sources():
+    slc = build_slice(8)
+    s, t = 5, 100
+    assert farthest(slc, [s, s, t]).tolist() == [
+        int(bfs_distances(slc, s).max()),
+        int(bfs_distances(slc, s).max()),
+        int(bfs_distances(slc, t).max()),
+    ]
+    sources = [3, 7] * 40
+    assert farthest(slc, sources).tolist() == [
+        int(bfs_distances(slc, i).max()) for i in sources
+    ]
+
+
+def test_out_of_range_nodes_raise():
+    slc = build_slice(7)
+    for bad in ([-1], [len(slc)], [0, len(slc) + 5]):
+        with pytest.raises(PreconditionError):
+            eccentricities(slc, bad)
+        with pytest.raises(PreconditionError):
+            farthest(slc, bad)
+    with pytest.raises(PreconditionError):
+        farthest(slc, [0], np.ones(len(slc) - 1, dtype=bool))
 
 
 def test_bfs_rows_agree_with_queue_bfs_n12():
