@@ -3,8 +3,10 @@ and graph exports.
 
 Exit codes: 0 success (including vacuous verifications), 1 verification
 failure, 2 usage error (including a malformed POLYFLIP_NODE_BUDGET), 3
-resource budget exceeded.  `verify --workers` is accepted for compatibility
-and ignored; every run is single-threaded and its output never depended on it.
+resource budget exceeded, 4 internal error (any other exception, reported as
+one `internal error: <type>: <message>` line on stderr, with no traceback).
+`verify --workers` is accepted for compatibility and ignored; every run is
+single-threaded and its output never depended on it.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .verify import CLAIMS, reports_to_csv, reports_to_json, run_claim
 
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -99,7 +102,7 @@ def cmd_distance(config: RunConfig) -> int:
     n = config.ns[0]
     t = _triangulation_arg(n, config.extra["t"])
     u = _triangulation_arg(n, config.extra["u"])
-    result = flip_distance(t, u)
+    result = flip_distance(t, u, config.max_nodes)
     if config.fmt == "json":
         _emit(config, json.dumps(result.to_json_obj(), indent=2) + "\n")
     else:
@@ -366,6 +369,9 @@ def main(argv=None) -> int:
     except TriangulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

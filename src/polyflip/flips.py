@@ -1,8 +1,10 @@
 """Flip moves, flip neighborhoods, and full flip-graph slices for one n.
 
-A "key" below is the canonical encoding of a triangulation of the standard
-polygon 0..n-1: the sorted tuple of its diagonals.  The slice machinery works
-on keys so that graph searches never pay for object construction.
+A "key" below is the canonical form of a triangulation of the standard
+polygon 0..n-1: the sorted tuple of its diagonals.  A "code" packs the same
+triangulation into one int (`encode`), on which `neighbor_moves`, the one
+move generator behind the pair search and the slice build, finds each
+flip with a few bit operations.
 """
 from __future__ import annotations
 
@@ -107,11 +109,6 @@ def flip_incident_to(t: Triangulation, d, e) -> bool:
 
 # -- canonical enumeration ---------------------------------------------------
 
-@lru_cache(maxsize=None)
-def boundary_pairs(n: int) -> frozenset:
-    return frozenset(edge(i, (i + 1) % n) for i in range(n))
-
-
 @lru_cache(maxsize=32)
 def all_keys(n: int) -> tuple:
     """All triangulation keys of the standard n-gon, lexicographically sorted.
@@ -153,22 +150,64 @@ def enumerate_all(n: int):
         yield Triangulation(poly, frozenset(key))
 
 
-def neighbor_moves(n: int, key: tuple):
-    """Yield (removed, new_key, inserted) for each diagonal of key, in order."""
-    edges = set(key) | boundary_pairs(n)
-    for d in key:
-        p, q = d
-        apexes = [
-            w
-            for w in range(n)
-            if w != p
-            and w != q
-            and ((p, w) if p < w else (w, p)) in edges
-            and ((q, w) if q < w else (w, q)) in edges
-        ]
-        inserted = edge(*apexes)
-        new_key = tuple(sorted([e for e in key if e != d] + [inserted]))
-        yield d, new_key, inserted
+# -- packed codes ------------------------------------------------------------
+#
+# Every edge {v,w} of a triangulation, boundary edges included, sets bit
+# (n-1-v)*n + (n-1-w) and its mirror, so the n bits from (n-1-v)*n up are v's
+# neighbour mask with neighbour w at bit n-1-w.  The least diagonal of a
+# symmetric difference then owns the highest differing bit, which makes
+# ascending key order exactly descending code order.
+
+@lru_cache(maxsize=32)
+def _code_tables(n: int) -> tuple:
+    """(toggle, boundary, above): toggle[v][w] flips edge {v,w} in a code,
+    boundary is the code of the bare polygon, and above[p] (p < n-2) masks
+    the neighbours q of p that would make (p,q) a diagonal with p < q."""
+    toggle = [
+        [(1 << ((n - 1 - v) * n + n - 1 - w)) | (1 << ((n - 1 - w) * n + n - 1 - v))
+         if v != w else 0 for w in range(n)]
+        for v in range(n)
+    ]
+    boundary = 0
+    for v in range(n):
+        boundary |= toggle[v][(v + 1) % n]
+    above = [(1 << (n - 2 - p)) - 1 for p in range(n - 2)]
+    above[0] &= ~1  # (0, n-1) is a boundary edge
+    return toggle, boundary, above
+
+
+def encode(n: int, key) -> int:
+    """The packed code of the triangulation of the standard n-gon whose
+    diagonals are `key`."""
+    toggle, code, _ = _code_tables(n)
+    for p, q in key:
+        code |= toggle[p][q]
+    return code
+
+
+def decode(n: int, code: int) -> tuple:
+    """The key (sorted diagonal tuple) of a packed code."""
+    return tuple(removed for removed, _, _ in neighbor_moves(n, code))
+
+
+def neighbor_moves(n: int, code: int):
+    """Yield (removed, new_code, inserted) for each diagonal of the coded
+    triangulation, in sorted-diagonal order.  The inserted diagonal joins
+    the removed one's two common neighbours."""
+    toggle, _, above = _code_tables(n)
+    full = (1 << n) - 1
+    rows = [(code >> ((n - 1 - v) * n)) & full for v in range(n)]
+    for p in range(n - 2):
+        row = rows[p]
+        rest = row & above[p]
+        while rest:
+            top = rest.bit_length() - 1
+            rest ^= 1 << top
+            q = n - 1 - top
+            common = row & rows[q]
+            a = n - common.bit_length()
+            b = n - (common & -common).bit_length()
+            yield (p, q), code ^ toggle[p][q] ^ toggle[a][b], (a, b)
 
 
 @dataclass
@@ -176,7 +215,8 @@ class FlipGraphSlice:
     """The fully materialized flip-graph on all triangulations of one n.
 
     Immutable after construction; node i is `keys[i]` and its neighbors are
-    `adjacency[i]`.  Node order is the lexicographic key order.
+    `adjacency[i]`.  Node order is the lexicographic key order, and `index`
+    maps each node's packed code (`encode`) to its position.
     """
 
     n: int
@@ -191,18 +231,17 @@ class FlipGraphSlice:
         return Triangulation(Polygon.standard(self.n), frozenset(self.keys[i]))
 
     def index_of(self, t: Triangulation) -> int:
-        return self.index[t.key_pairs()]
+        return self.index[encode(self.n, t.key_pairs())]
 
 
 @lru_cache(maxsize=8)
 def _build_slice_cached(n: int) -> FlipGraphSlice:
     keys = all_keys(n)
-    index = {k: i for i, k in enumerate(keys)}
+    index = {encode(n, key): i for i, key in enumerate(keys)}
     deg = max(n - 3, 0)
-    adjacency = np.empty((len(keys), deg), dtype=np.int32)
-    for i, key in enumerate(keys):
-        for j, (_, new_key, _) in enumerate(neighbor_moves(n, key)):
-            adjacency[i, j] = index[new_key]
+    moves = (index[new] for code in index for _, new, _ in neighbor_moves(n, code))
+    adjacency = np.fromiter(moves, dtype=np.int32, count=len(keys) * deg)
+    adjacency = adjacency.reshape(len(keys), deg)
     adjacency.setflags(write=False)
     return FlipGraphSlice(n, keys, index, adjacency)
 

@@ -10,12 +10,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PreconditionError, Triangulation, TriangulationError, edge
+from .core import (
+    BudgetExceededError,
+    PreconditionError,
+    Triangulation,
+    TriangulationError,
+    edge,
+)
 from .flips import (
     FlipGraphSlice,
     FlipMove,
     build_slice,
+    encode,
     neighbor_moves,
+    node_budget,
     orbit_codes,
 )
 
@@ -51,57 +59,65 @@ def _require_same_polygon(t: Triangulation, u: Triangulation):
         raise TriangulationError("triangulations live on different polygons")
 
 
-def flip_distance(t: Triangulation, u: Triangulation) -> DistanceResult:
+def flip_distance(t: Triangulation, u: Triangulation, max_nodes=None) -> DistanceResult:
     """Exact shortest flip path, with one realizing geodesic.
 
-    Bidirectional BFS over canonical keys; ties are broken by sorted key
-    order so repeated runs return the same geodesic.
+    Bidirectional BFS over packed codes (`flips.encode`).  Each frontier is
+    expanded in key order and the first parent found is kept, so repeated
+    runs return the same geodesic.  Raises `BudgetExceededError` once both
+    sides together hold more keys than `node_budget(max_nodes)`.
     """
     _require_same_polygon(t, u)
     n = t.n
-    start, goal = t.key_pairs(), u.key_pairs()
+    start, goal = encode(n, t.key_pairs()), encode(n, u.key_pairs())
     if start == goal:
         return DistanceResult(0, ())
+    budget = node_budget(max_nodes)
 
-    # parents[side][key] = (previous key, move applied to previous)
+    # parents[side][code] = (previous code, removed, inserted) or None at the
+    # root; frontiers descend by code, which is ascending key order
     parents = ({start: None}, {goal: None})
-    frontiers = ([start], [goal])
+    frontiers = [[start], [goal]]
     meet = None
     while meet is None:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        grown = {}
-        for key in frontiers[side]:
-            for removed, new_key, inserted in neighbor_moves(n, key):
-                if new_key in parents[side] or new_key in grown:
-                    continue
-                move = FlipMove(removed, inserted, tuple(sorted(removed + inserted)))
-                grown[new_key] = (key, move)
-        frontiers = (
-            (sorted(grown), frontiers[1]) if side == 0 else (frontiers[0], sorted(grown))
-        )
-        parents[side].update(grown)
-        touching = sorted(k for k in grown if k in parents[1 - side])
+        seen, other = parents[side], parents[1 - side]
+        grown = []
+        for code in frontiers[side]:
+            for removed, new_code, inserted in neighbor_moves(n, code):
+                if new_code not in seen:
+                    seen[new_code] = (code, removed, inserted)
+                    grown.append(new_code)
+            if len(seen) + len(other) > budget:
+                raise BudgetExceededError(
+                    f"flip distance search for n={n} holds {len(seen) + len(other)}"
+                    f" keys, above the budget of {budget}"
+                )
+        frontiers[side] = sorted(grown, reverse=True)
+        touching = [code for code in grown if code in other]
         if touching:
-            meet = touching[0]
+            meet = max(touching)
 
     forward = []
-    key = meet
-    while parents[0][key] is not None:
-        prev, move = parents[0][key]
-        forward.append(move)
-        key = prev
+    code = meet
+    while parents[0][code] is not None:
+        code, removed, inserted = parents[0][code]
+        forward.append(_move(removed, inserted))
     forward.reverse()
     backward = []
-    key = meet
-    while parents[1][key] is not None:
-        prev, move = parents[1][key]
-        backward.append(move.reversed())
-        key = prev
+    code = meet
+    while parents[1][code] is not None:
+        code, removed, inserted = parents[1][code]
+        backward.append(_move(inserted, removed))
     moves = forward + backward
     relabel = _relabel_to_original(t)
     if relabel is not None:
         moves = [_relabel_move(m, relabel) for m in moves]
     return DistanceResult(len(moves), tuple(moves))
+
+
+def _move(removed: tuple, inserted: tuple) -> FlipMove:
+    return FlipMove(removed, inserted, tuple(sorted(removed + inserted)))
 
 
 def _relabel_to_original(t: Triangulation):

@@ -172,6 +172,34 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+ZIGZAG_10_T = "1-8,1-9,2-7,2-8,3-6,3-7,4-6"
+ZIGZAG_10_U = "0-5,0-6,1-4,1-5,2-4,6-9,7-9"
+
+
+def test_distance_honours_max_nodes(capsys):
+    argv = ["distance", "--n", "10", "--t", ZIGZAG_10_T, "--u", ZIGZAG_10_U]
+    code, out, err = run(capsys, *argv, "--max-nodes", "100")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "budget" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "distance=10"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import polyflip.cli as cli
+
+    def broken(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_enumerate", broken)
+    code, out, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_bad_node_budget_variable_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "abc")
     code, _, err = run(capsys, "enumerate", "--n", "5")

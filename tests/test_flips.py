@@ -18,6 +18,7 @@ from polyflip import (
     orbit_representatives,
     validate_triangulation,
 )
+from polyflip.flips import all_keys, decode, encode, neighbor_moves
 
 CATALAN_TABLE = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
 
@@ -142,3 +143,41 @@ def test_eccentricity_constant_on_orbits():
             7, [tuple(sorted(((a + 2) % 7, (b + 2) % 7))) for a, b in t.diagonals]
         )
         assert eccentricity(t).eccentricity == eccentricity(rotated).eccentricity
+
+
+def test_encode_decode_round_trip():
+    for n in range(3, 10):
+        for key in all_keys(n):
+            assert decode(n, encode(n, key)) == key
+
+
+def test_codes_descend_in_key_order():
+    for n in range(3, 12):
+        codes = [encode(n, key) for key in all_keys(n)]
+        assert all(a > b for a, b in zip(codes, codes[1:]))
+
+
+def test_neighbor_moves_agree_with_flip_and_invert():
+    for n in (4, 5, 6, 7, 8):
+        for t in enumerate_all(n):
+            code = encode(n, t.key_pairs())
+            moves = list(neighbor_moves(n, code))
+            assert [removed for removed, _, _ in moves] == sorted(t.diagonals)
+            for removed, new_code, inserted in moves:
+                u, move = flip(t, removed)
+                assert move.inserted == inserted
+                assert decode(n, new_code) == u.key_pairs()
+                assert (inserted, code, removed) in neighbor_moves(n, new_code)
+
+
+def test_slice_adjacency_matches_object_flips():
+    for n in range(3, 10):
+        slc = build_slice(n)
+        index = {key: i for i, key in enumerate(slc.keys)}
+        expected = [
+            [index[flip(slc.triangulation(i), d)[0].key_pairs()] for d in sorted(key)]
+            for i, key in enumerate(slc.keys)
+        ]
+        assert slc.adjacency.tolist() == expected
+        for i in range(0, len(slc), 7):
+            assert slc.index_of(slc.triangulation(i)) == i

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyflip import (
+    BudgetExceededError,
     PreconditionError,
     Triangulation,
     TriangulationError,
@@ -19,6 +20,7 @@ from polyflip import (
     eccentricity,
     enumerate_all,
     farthest,
+    flip,
     flip_distance,
     neighbors,
     orbit_representatives,
@@ -249,3 +251,28 @@ def test_diameter_matches_matrix():
         d, r = diameter_radius(n)
         assert d == int(mat.max())
         assert r == int(mat.max(axis=1).min())
+
+
+def test_flip_distance_budget():
+    t = Triangulation.from_pairs(10, [(1, 8), (1, 9), (2, 7), (2, 8), (3, 6), (3, 7), (4, 6)])
+    u = Triangulation.from_pairs(10, [(0, 5), (0, 6), (1, 4), (1, 5), (2, 4), (6, 9), (7, 9)])
+    with pytest.raises(BudgetExceededError):
+        flip_distance(t, u, max_nodes=100)
+    assert flip_distance(t, u).distance == 10
+
+
+def test_flip_distance_matches_slice_bfs_n12():
+    slc = build_slice(12)
+    rng = random.Random(12)
+    for source in rng.sample(range(len(slc)), 20):
+        dist = bfs_distances(slc, source)
+        t = slc.triangulation(source)
+        for target in rng.sample(range(len(slc)), 10):
+            u = slc.triangulation(target)
+            res = flip_distance(t, u)
+            assert res.distance == dist[target]
+            cur = t
+            for move in res.geodesic:
+                cur, replayed = flip(cur, move.removed)
+                assert replayed == move
+            assert cur == u
