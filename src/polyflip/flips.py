@@ -88,23 +88,15 @@ def neighbors(t: Triangulation) -> list[Triangulation]:
 
 def flip_incident_to(t: Triangulation, d, e) -> bool:
     """True iff flipping d affects the triangle of t incident to boundary
-    edge e."""
+    edge e, i.e. e is a side of d's quadrilateral: a boundary edge with
+    both ends among the quadrilateral's vertices is one of its sides."""
     d = edge(*d)
     e = edge(*e)
     if not t.polygon.is_boundary(e):
         raise InvalidEdgeError(f"{e} is not a boundary edge")
     if d not in t.diagonals:
         raise InvalidFlipError(f"{d} is not a diagonal of the triangulation")
-    a, b = e
-    all_edges = t.edges()
-    apexes = [
-        w
-        for w in t.polygon.vertices
-        if w != a and w != b and edge(a, w) in all_edges and edge(b, w) in all_edges
-    ]
-    assert len(apexes) == 1
-    w = apexes[0]
-    return d in (edge(a, w), edge(b, w))
+    return set(e) <= set(flip(t, d)[1].quad)
 
 
 # -- canonical enumeration ---------------------------------------------------
@@ -258,16 +250,21 @@ def build_slice(n: int, max_nodes=None) -> FlipGraphSlice:
     return _build_slice_cached(n)
 
 
-def max_degrees(slc: FlipGraphSlice) -> np.ndarray:
-    """Maximum interior degree of each node of the slice."""
+def interior_degrees(slc: FlipGraphSlice) -> np.ndarray:
+    """Interior degree of every vertex of every node, shape (nodes, n)."""
     nodes = len(slc)
-    if slc.n == 3:
-        return np.zeros(nodes, dtype=np.int32)
-    flat = np.array(slc.keys, dtype=np.int64).reshape(nodes, -1)
     counts = np.zeros((nodes, slc.n), dtype=np.int32)
+    if slc.n == 3:
+        return counts
+    flat = np.array(slc.keys, dtype=np.int64).reshape(nodes, -1)
     rows = np.repeat(np.arange(nodes), flat.shape[1])
     np.add.at(counts, (rows, flat.ravel()), 1)
-    return counts.max(axis=1)
+    return counts
+
+
+def max_degrees(slc: FlipGraphSlice) -> np.ndarray:
+    """Maximum interior degree of each node of the slice."""
+    return interior_degrees(slc).max(axis=1)
 
 
 def orbit_codes(slc: FlipGraphSlice) -> np.ndarray:

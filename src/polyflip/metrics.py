@@ -6,7 +6,6 @@ need Catalan-sized memory; sweeps use a materialized slice and array BFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -219,10 +218,9 @@ def eccentricities(slc: FlipGraphSlice, nodes=None) -> np.ndarray:
     return orbit_ecc[wanted]
 
 
-@lru_cache(maxsize=8)
-def distance_matrix(n: int) -> np.ndarray:
+def distance_matrix(n: int, max_nodes=None) -> np.ndarray:
     """All-pairs distances of the flip graph of the standard n-gon."""
-    slc = build_slice(n)
+    slc = build_slice(n, max_nodes)
     nodes = len(slc)
     mat = np.empty((nodes, nodes), dtype=np.int16)
     for i in range(nodes):

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Triangulation, TriangulationError
+from .core import TriangulationError
 from .flips import (
     build_slice,
     catalan,
-    flip_incident_to,
+    encode,
+    interior_degrees,
     max_degrees,
+    neighbor_moves,
     node_budget,
     orbit_representatives,
 )
@@ -28,7 +30,6 @@ from .metrics import (
     distance_matrix,
     eccentricities,
     farthest,
-    flip_distance,
 )
 from .constructions import (
     comb,
@@ -369,89 +370,136 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
     return _finish("remark_family", n, instances, failures, started, notes)
 
 
+def _deletion_index(slc, small) -> np.ndarray:
+    """[i, a]: the node of `small`, the (n-1)-gon slice, that deleting
+    vertex a from node i gives.  Vertex a merges into a+1 and the labels
+    above a move down by one; pairs that become boundary edges drop out.
+    Every key of the (n-1)-gon is in `small.index`, so a miss means the
+    contraction is no triangulation, and raises."""
+    n, m = slc.n, small.n
+    out = np.empty((len(slc), n), dtype=np.intp)
+    for a in range(n):
+        label = [v - (v > a) for v in range(n)]
+        label[a] = label[(a + 1) % n]
+        for i, key in enumerate(slc.keys):
+            pairs = ((label[p], label[q]) for p, q in key)
+            code = encode(m, [(x, y) for x, y in pairs if 1 < (y - x) % m < m - 1])
+            if code not in small.index:
+                raise TriangulationError(
+                    f"deleting vertex {a} from {slc.triangulation(i).text()}"
+                    f" gives no triangulation of the {m}-gon"
+                )
+            out[i, a] = small.index[code]
+    return out
+
+
+def _incidence_masks(slc) -> np.ndarray:
+    """[i, c]: the n-bit mask of the boundary edges {a, a+1} (bit a) whose
+    triangle the flip in adjacency column c of node i changes.  Those are
+    the sides of the flip's quadrilateral, the boundary edges with both
+    ends among its four vertices."""
+    n = slc.n
+    quads = np.array(
+        [
+            (1 << p) | (1 << q) | (1 << x) | (1 << y)
+            for key in slc.keys
+            for (p, q), _, (x, y) in neighbor_moves(n, encode(n, key))
+        ],
+        dtype=np.int64,
+    ).reshape(slc.adjacency.shape)
+    return quads & ((quads >> 1) | ((quads & 1) << (n - 1)))
+
+
+def _geodesic_steps(slc, mat, sources, targets):
+    """Walk from each sources[k] to targets[k] along one geodesic: at every
+    step flip the first adjacency column whose node is one step closer to
+    the target by the distance matrix `mat`.  Yields, per step, the indices
+    k still walking, their current nodes and the column each one flips."""
+    targets = np.asarray(targets, dtype=np.intp)
+    cur = np.array(sources, dtype=np.intp)
+    left = mat[cur, targets].astype(np.intp)
+    live = np.flatnonzero(left)
+    while live.size:
+        nodes = cur[live]
+        nbrs = slc.adjacency[nodes]
+        closer = mat[nbrs, targets[live, None]] == (left[live] - 1)[:, None]
+        cols = closer.argmax(axis=1)
+        yield live, nodes, cols
+        cur[live] = nbrs[np.arange(live.size), cols]
+        left[live] -= 1
+        live = live[left[live] > 0]
+
+
+_PAIR_CHUNK = 1 << 11  # pairs checked at once; bounds the per-pair arrays
+
+
 def verify_deletion_lemmas(n: int, max_nodes=None) -> VerificationReport:
     """Vertex-deletion distance inequalities over every pair: monotonicity,
     the incident-flip counting bound along one geodesic per pair, and the
-    ear-with-two-edges step of +2."""
+    ear-with-two-edges step of +2.
+
+    The geodesic comes from the distance rows: from the current node, flip
+    the first adjacency column whose node is one step closer to the target.
+    The source paper's deletion lemma bounds every geodesic, so any one
+    keeps the check exact.  A flip is incident to boundary edge {a, a+1}
+    iff that edge is a side of the flip's quadrilateral.
+    """
     started = time.perf_counter()
+    if n < 4:
+        return _finish("deletion", n, 0, (), started, ("vertex deletion needs n >= 4",))
     slc = build_slice(n, max_nodes)
     count = len(slc)
-    mat = distance_matrix(n)
-    if n > 4:
-        slc_small = build_slice(n - 1, max_nodes)
-        mat_small = distance_matrix(n - 1)
-        del_idx = np.empty((count, n), dtype=np.int32)
-        for i in range(count):
-            t = slc.triangulation(i)
-            for a in range(n):
-                del_idx[i, a] = slc_small.index_of(t.delete(a))
+    mat = distance_matrix(n, max_nodes)
+    mat_small = distance_matrix(n - 1, max_nodes)
+    del_idx = _deletion_index(slc, build_slice(n - 1, max_nodes))
+    masks = _incidence_masks(slc)
+    degrees = interior_degrees(slc)
+    # column a of these looks at vertex a+1, the far end of boundary edge a
+    ear_next = np.roll(degrees == 0, -1, axis=1)
+    busy_next = np.roll(degrees >= 2, -1, axis=1)
+    shifts = np.arange(n)
+    failures = []
+    all_rows, all_cols = np.triu_indices(count)
+    for start in range(0, len(all_rows), _PAIR_CHUNK):
+        rows = all_rows[start : start + _PAIR_CHUNK]
+        cols = all_cols[start : start + _PAIR_CHUNK]
+        d = mat[rows, cols].astype(np.int32)[:, None]
+        smaller = mat_small[del_idx[rows], del_idx[cols]].astype(np.int32)
+        incident = np.zeros_like(smaller)
+        for live, nodes, moves in _geodesic_steps(slc, mat, rows, cols):
+            incident[live] += (masks[nodes, moves][:, None] >> shifts) & 1
+        no_gain = (
+            ear_next[rows]
+            & busy_next[cols]
+            & (d < smaller + 2)
+            & (d < np.roll(smaller, -1, axis=1) + 2)
+        )
 
-    def deleted_distance(i, j, a) -> int:
-        if n == 4:
-            return 0  # deleting any vertex of a square leaves the triangle
-        return int(mat_small[del_idx[i, a], del_idx[j, a]])
+        def failure(k, **fields) -> dict:
+            return {
+                "t": slc.triangulation(int(rows[k])).text(),
+                "u": slc.triangulation(int(cols[k])).text(),
+                "distance": int(d[k, 0]),
+                **fields,
+            }
 
-    all_ts = [slc.triangulation(i) for i in range(count)]
-
-    def check(i) -> list:
-        t = all_ts[i]
-        t_ears = t.ears()
-        fails = []
-        for j in range(i, count):
-            u = all_ts[j]
-            d = int(mat[i, j])
-            smaller = [deleted_distance(i, j, a) for a in range(n)]
-            for a in range(n):
-                if d < smaller[a]:
-                    fails.append(
-                        {
-                            "t": t.text(),
-                            "u": u.text(),
-                            "a": a,
-                            "distance": d,
-                            "deleted": smaller[a],
-                            "problem": "deletion increased the distance",
-                        }
-                    )
-            geodesic = flip_distance(t, u).geodesic
-            incident = [0] * n
-            cur = t
-            for move in geodesic:
-                for a in range(n):
-                    if flip_incident_to(cur, move.removed, (a, (a + 1) % n)):
-                        incident[a] += 1
-                cur = Triangulation(
-                    cur.polygon, (cur.diagonals - {move.removed}) | {move.inserted}
-                )
-            for a in range(n):
-                if d < smaller[a] + incident[a]:
-                    fails.append(
-                        {
-                            "t": t.text(),
-                            "u": u.text(),
-                            "a": a,
-                            "distance": d,
-                            "deleted": smaller[a],
-                            "incident_flips": incident[a],
-                            "problem": "geodesic flip count breaks the bound",
-                        }
-                    )
-            for a in range(n):
-                b = (a + 1) % n
-                if b in t_ears and u.interior_degree(b) >= 2:
-                    if d < smaller[a] + 2 and d < deleted_distance(i, j, b) + 2:
-                        fails.append(
-                            {
-                                "t": t.text(),
-                                "u": u.text(),
-                                "edge": [a, b],
-                                "distance": d,
-                                "problem": "no deletion gains two flips at the ear",
-                            }
-                        )
-        return fails
-
-    failures = _sorted_failures(range(count), check)
+        failures += [
+            failure(k, a=int(a), deleted=int(smaller[k, a]),
+                    problem="deletion increased the distance")
+            for k, a in zip(*np.nonzero(d < smaller))
+        ]
+        failures += [
+            failure(k, a=int(a), deleted=int(smaller[k, a]),
+                    incident_flips=int(incident[k, a]),
+                    problem="geodesic flip count breaks the bound")
+            for k, a in zip(*np.nonzero(d < smaller + incident))
+        ]
+        failures += [
+            failure(k, edge=[int(a), (int(a) + 1) % n],
+                    problem="no deletion gains two flips at the ear")
+            for k, a in zip(*np.nonzero(no_gain))
+        ]
+    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
     return _finish("deletion", n, count * (count + 1) // 2, failures, started)
 
 

@@ -139,6 +139,15 @@ def test_verify_deterministic_output(capsys):
     assert all("seconds" not in r for r in obj["reports"])
 
 
+def test_verify_deletion_honours_max_nodes(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "100")
+    args = ["verify", "--claim", "deletion", "--n", "8", "--no-timestamp"]
+    code, out, err = run(capsys, *args, "--max-nodes", "1000")
+    assert (code, out, err) == (0, "deletion n=8: pass (8778 instances)\n", "")
+    code, _, err = run(capsys, *args)
+    assert code == 3 and "above the budget of 100" in err
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "far", "--n", "6",
                        "--format", "csv", "--no-timestamp")

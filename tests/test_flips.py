@@ -4,12 +4,14 @@ import pytest
 
 from polyflip import (
     BudgetExceededError,
+    InvalidEdgeError,
     InvalidFlipError,
     Polygon,
     Triangulation,
     build_slice,
     catalan,
     comb,
+    edge,
     enumerate_all,
     flip,
     flip_incident_to,
@@ -70,6 +72,27 @@ def test_flip_incident_to_comb():
     assert flip_incident_to(t, (0, 2), (2, 3))
     assert flip_incident_to(t, (0, 3), (2, 3))
     assert not flip_incident_to(t, (0, 4), (2, 3))
+
+
+def test_flip_incident_to_matches_triangle_side_definition():
+    # the quadrilateral-side rule against the definition it replaced: d is a
+    # side of the triangle of t resting on boundary edge e = {a, b}
+    for n in range(4, 9):
+        for t in enumerate_all(n):
+            all_edges = t.edges()
+            for a in range(n):
+                b = (a + 1) % n
+                (w,) = [
+                    w for w in range(n)
+                    if w not in (a, b) and edge(a, w) in all_edges and edge(b, w) in all_edges
+                ]
+                for d in t.diagonals:
+                    assert flip_incident_to(t, d, (a, b)) == (d in (edge(a, w), edge(b, w)))
+    t = comb(6, 0)
+    with pytest.raises(InvalidEdgeError):
+        flip_incident_to(t, (0, 2), (0, 2))
+    with pytest.raises(InvalidFlipError):
+        flip_incident_to(t, (1, 3), (2, 3))
 
 
 def test_enumeration_counts_and_uniqueness():
