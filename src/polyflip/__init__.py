@@ -16,16 +16,9 @@ from .core import (
     PreconditionError,
     Triangulation,
     TriangulationError,
-    canonical_key,
-    comb_gap,
     crossing,
-    delete_vertex,
-    ears,
     edge,
-    interior_degree,
-    oriented_length,
     parse_diagonals,
-    triangles,
     validate_triangulation,
 )
 from .flips import (

@@ -105,29 +105,46 @@ def _restricted_ear(t: Triangulation, removed: frozenset, c: int) -> bool:
     return all(c not in e for e in _restricted_diagonals(t, removed))
 
 
-def find_shelling(t: Triangulation, v: int) -> Shelling:
-    """Search for a shelling of t at v by backtracking over reverse ear
-    removals restricted to the non-neighbors of v."""
-    target = frozenset(non_neighbors(t, v))
+def _shell(t: Triangulation, target: frozenset, support=None) -> Optional[list]:
+    """Backtrack over reverse ear removals restricted to `target`, memoized
+    on the removed-vertex set.
+
+    Returns the removals in order as (c, evidence) pairs, or None.  With
+    `support`, removing c also needs two vertices of `support[c]` outside
+    the removed set, and those two are its evidence; without, it is None.
+    """
     dead: set[frozenset] = set()
 
-    def search(removed: frozenset) -> Optional[list[int]]:
+    def search(removed: frozenset) -> Optional[list]:
         if removed == target:
             return []
         if removed in dead:
             return None
         for c in sorted(target - removed):
-            if _restricted_ear(t, removed, c):
-                rest = search(removed | {c})
-                if rest is not None:
-                    return [c] + rest
+            if not _restricted_ear(t, removed, c):
+                continue
+            pair = None
+            if support is not None:
+                outside = [w for w in support[c] if w not in removed]
+                if len(outside) < 2:
+                    continue
+                pair = (outside[0], outside[1])
+            rest = search(removed | {c})
+            if rest is not None:
+                return [(c, pair)] + rest
         dead.add(removed)
         return None
 
-    seq = search(frozenset())
+    return search(frozenset())
+
+
+def find_shelling(t: Triangulation, v: int) -> Shelling:
+    """Search for a shelling of t at v by backtracking over reverse ear
+    removals restricted to the non-neighbors of v."""
+    seq = _shell(t, frozenset(non_neighbors(t, v)))
     if seq is None:
         raise NoShellingError(f"no shelling of the triangulation at vertex {v}")
-    return Shelling(v, tuple(reversed(seq)))
+    return Shelling(v, tuple(c for c, _ in reversed(seq)))
 
 
 def validate_shelling(t: Triangulation, shelling: Shelling) -> bool:
@@ -188,26 +205,7 @@ def omega_member(
     if any(len(ws) < 2 for ws in u_nbrs.values()):
         return None
 
-    dead: set[frozenset] = set()
-
-    def search(removed: frozenset):
-        if removed == target:
-            return []
-        if removed in dead:
-            return None
-        for c in sorted(target - removed):
-            if not _restricted_ear(t, removed, c):
-                continue
-            outside = [w for w in u_nbrs[c] if w not in removed]
-            if len(outside) < 2:
-                continue
-            rest = search(removed | {c})
-            if rest is not None:
-                return [(c, (outside[0], outside[1]))] + rest
-        dead.add(removed)
-        return None
-
-    seq = search(frozenset())
+    seq = _shell(t, target, u_nbrs)
     if seq is None:
         return None
     order = tuple(c for c, _ in reversed(seq))

@@ -11,7 +11,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class TriangulationError(Exception):
@@ -322,30 +322,3 @@ def validate_triangulation(polygon: Polygon, diagonals: Iterable) -> Triangulati
         )
     return Triangulation(polygon, frozenset(diags))
 
-
-def oriented_length(polygon: Polygon, a: int, b: int) -> int:
-    return polygon.oriented_length(a, b)
-
-
-def interior_degree(t: Triangulation, v: int) -> int:
-    return t.interior_degree(v)
-
-
-def comb_gap(t: Triangulation) -> int:
-    return t.comb_gap()
-
-
-def ears(t: Triangulation) -> frozenset:
-    return t.ears()
-
-
-def delete_vertex(t: Triangulation, a: int) -> Triangulation:
-    return t.delete(a)
-
-
-def canonical_key(t: Triangulation) -> tuple:
-    return t.canonical_key()
-
-
-def triangles(t: Triangulation) -> list[tuple[int, int, int]]:
-    return t.triangles()

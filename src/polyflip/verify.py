@@ -77,15 +77,10 @@ class VerificationReport:
         )
 
 
-def _sorted_failures(items, fn) -> tuple:
-    """Apply fn across items and return the failures it lists, sorted so the
-    report does not depend on item order."""
-    failures = [f for x in items for f in fn(x)]
-    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
-    return tuple(failures)
-
-
 def _finish(claim, n, instances, failures, started, notes=()) -> VerificationReport:
+    """The report, with failures sorted so it does not depend on the order
+    in which they were found."""
+    failures = sorted(failures, key=lambda f: json.dumps(f, sort_keys=True))
     return VerificationReport(
         claim, n, instances, tuple(failures), time.perf_counter() - started, tuple(notes)
     )
@@ -95,7 +90,7 @@ def _gap_values(slc) -> np.ndarray:
     return (slc.n - 3) - max_degrees(slc)
 
 
-def _gap_formula_failures(slc, gaps, eligible) -> tuple:
+def _gap_formula_failures(slc, gaps, eligible) -> list:
     """Failures for the nodes among `eligible` whose eccentricity is not
     n-3+k."""
     eccs = eccentricities(slc, eligible)
@@ -114,7 +109,7 @@ def _gap_formula_failures(slc, gaps, eligible) -> tuple:
             ]
         return []
 
-    return _sorted_failures(range(len(eligible)), check)
+    return [f for j in range(len(eligible)) for f in check(j)]
 
 
 def verify_close(n: int, max_nodes=None) -> VerificationReport:
@@ -195,7 +190,7 @@ def verify_omega(n: int, max_nodes=None) -> VerificationReport:
                         )
         return fails
 
-    failures = _sorted_failures(range(count), check)
+    failures = [f for i in range(count) for f in check(i)]
     return _finish("omega", n, count * n, failures, started)
 
 
@@ -251,7 +246,7 @@ def verify_far(n: int, max_nodes=None) -> VerificationReport:
             )
         return fails
 
-    failures = _sorted_failures(range(len(slc)), check)
+    failures = [f for i in range(len(slc)) for f in check(i)]
     return _finish("far", n, len(slc), failures, started)
 
 
@@ -273,7 +268,7 @@ def verify_characterization(n: int, max_nodes=None) -> VerificationReport:
         slc = build_slice(n, max_nodes)
         gaps = _gap_values(slc)
         eligible = np.nonzero(gaps <= k_top)[0]
-        failures = list(_gap_formula_failures(slc, gaps, eligible))
+        failures = _gap_formula_failures(slc, gaps, eligible)
         instances = len(eligible)
     else:
         # k = 0: the comb.  Its largest interior degree is n-3, so no
@@ -333,7 +328,7 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
             )
         return fails
 
-    failures = list(_sorted_failures(ks, check))
+    failures = [f for k in ks for f in check(k)]
     instances = len(ks)
     if n > 12:
         degs = max_degrees(slc)
@@ -366,7 +361,6 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
         )
     else:
         notes.append("distance-2n-10 part needs n > 12; skipped")
-    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
     return _finish("remark_family", n, instances, failures, started, notes)
 
 
@@ -499,7 +493,6 @@ def verify_deletion_lemmas(n: int, max_nodes=None) -> VerificationReport:
                     problem="no deletion gains two flips at the ear")
             for k, a in zip(*np.nonzero(no_gain))
         ]
-    failures.sort(key=lambda f: json.dumps(f, sort_keys=True))
     return _finish("deletion", n, count * (count + 1) // 2, failures, started)
 
 

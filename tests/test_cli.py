@@ -199,7 +199,7 @@ def test_distance_honours_max_nodes(capsys):
 def test_internal_error_exit_code(capsys, monkeypatch):
     import polyflip.cli as cli
 
-    def broken(config):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_enumerate", broken)
@@ -227,3 +227,11 @@ def test_output_file(tmp_path, capsys):
 def test_range_rejected_outside_verify(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "5..7")
     assert code == 2
+
+
+def test_witness_distance_honours_max_nodes(capsys, monkeypatch):
+    monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "100")
+    code, out, err = run(capsys, "witness", "far-long", "--n", "10",
+                         "--t", ZIGZAG_10_T, "--max-nodes", "100000")
+    assert (code, err) == (0, "")
+    assert any(line.startswith("distance=") for line in out.splitlines())
