@@ -2,16 +2,18 @@
 
 A "key" below is the canonical form of a triangulation of the standard
 polygon 0..n-1: the sorted tuple of its diagonals.  A "code" packs the same
-triangulation into one int (`encode`), on which `neighbor_moves`, the one
-move generator behind the pair search and the slice build, finds each
-flip with a few bit operations.
+triangulation into one int (`encode`), on which `neighbor_moves`, the move
+generator behind the pair search, finds each flip with a few bit operations.
+Slices hold every key of one n as rows of one int8 array (`key_array`),
+index them by a uint64 degree code, and build their adjacency one column at
+a time (`flip_columns`).
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,37 +104,50 @@ def flip_incident_to(t: Triangulation, d, e) -> bool:
 # -- canonical enumeration ---------------------------------------------------
 
 @lru_cache(maxsize=32)
-def all_keys(n: int) -> tuple:
-    """All triangulation keys of the standard n-gon, lexicographically sorted.
+def key_array(n: int) -> np.ndarray:
+    """All triangulations of the standard n-gon as one read-only (N, n-3, 2)
+    int8 array: row i holds the sorted diagonals of node i, and the rows are
+    in lexicographic order.
 
-    Generated by recursively choosing the apex of the triangle resting on the
-    (i,j) base edge, which produces every triangulation exactly once.
+    A triangulation of the polygon 0..m-1 puts an apex k on the base edge
+    (0, m-1) and triangulates 0..k and k..m-1 independently, so the block of
+    size m pairs every row of the size-(k+1) block with every row of the
+    size-(m-k) block shifted by k.  While the blocks grow a diagonal (p, q)
+    is held as p*n+q, so a shift by k adds k*(n+1).
     """
     if n < 3:
         raise PreconditionError("enumeration needs n >= 3")
+    empty = np.zeros((1, 0), dtype=np.int16)
+    blocks = {2: empty, 3: empty}
+    for m in range(4, n + 1):
+        parts = []
+        for k in range(1, m - 1):
+            left, right = blocks[k + 1], blocks[m - k] + k * (n + 1)
+            count = len(left) * len(right)
+            cols = [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))]
+            if k > 1:
+                cols.append(np.full((count, 1), k, dtype=np.int16))
+            if m - 1 - k > 1:
+                cols.append(np.full((count, 1), k * n + m - 1, dtype=np.int16))
+            parts.append(np.hstack(cols))
+        blocks[m] = np.concatenate(parts)
+    rows = np.sort(blocks[n], axis=1)
+    if rows.shape[1]:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    keys = np.stack((rows // n, rows % n), axis=2).astype(np.int8)
+    keys.setflags(write=False)
+    return keys
 
-    memo: dict[tuple[int, int], list[tuple]] = {}
 
-    def rec(i: int, j: int) -> list[tuple]:
-        if j - i < 2:
-            return [()]
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        out = []
-        for k in range(i + 1, j):
-            extra = ()
-            if k - i > 1:
-                extra += ((i, k),)
-            if j - k > 1:
-                extra += ((k, j),)
-            for left in rec(i, k):
-                for right in rec(k, j):
-                    out.append(left + right + extra)
-        memo[(i, j)] = out
-        return out
-
-    return tuple(sorted(tuple(sorted(ds)) for ds in rec(0, n - 1)))
+@lru_cache(maxsize=32)
+def all_keys(n: int) -> tuple:
+    """All triangulation keys of the standard n-gon, lexicographically
+    sorted: `key_array(n)` decoded to tuples, one shared tuple per
+    diagonal."""
+    keys = key_array(n)
+    pairs = [(p, q) for p in range(n) for q in range(n)]
+    rows = (keys[..., 0].astype(np.intp) * n + keys[..., 1]).tolist()
+    return tuple(tuple(map(pairs.__getitem__, row)) for row in rows)
 
 
 def enumerate_all(n: int):
@@ -202,40 +217,113 @@ def neighbor_moves(n: int, code: int):
             yield (p, q), code ^ toggle[p][q] ^ toggle[a][b], (a, b)
 
 
-@dataclass
+# -- slices --------------------------------------------------------------------
+#
+# A slice indexes its nodes by the interior-degree code: vertex v's interior
+# degree, a digit below n-2, read in radix n-2 over v < n-1 (the last degree
+# follows from the sum 2(n-3)).  The degrees determine the triangulation: a
+# vertex of degree 0 is an ear, and cutting it off leaves the degrees of an
+# (n-1)-gon triangulation.  A flip of (p, q) into (a, b) moves the code by
+# w[a] + w[b] - w[p] - w[q].
+
+@lru_cache(maxsize=32)
+def code_weights(n: int) -> np.ndarray:
+    """Per vertex, the uint64 weight of its interior degree in the code."""
+    if (n - 2) ** (n - 1) > 1 << 64:
+        raise PreconditionError(f"degree codes of the {n}-gon do not fit 64 bits (n <= 17)")
+    weights = np.array([(n - 2) ** v for v in range(n - 1)] + [0], dtype=np.uint64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _neighbour_masks(n: int, keys: np.ndarray) -> np.ndarray:
+    """[i, v]: the neighbours of vertex v in row i, bit w for neighbour w."""
+    bits = np.array([1 << v for v in range(n)], dtype=np.min_scalar_type((1 << n) - 1))
+    masks = np.tile(np.roll(bits, 1) | np.roll(bits, -1), (len(keys), 1))
+    rows = np.arange(len(keys))
+    for j in range(keys.shape[1]):
+        p, q = keys[:, j, 0], keys[:, j, 1]
+        masks[rows, p] |= bits[q]
+        masks[rows, q] |= bits[p]
+    return masks
+
+
+def flip_columns(n: int, keys: np.ndarray):
+    """The array move step.  For each column j of a (rows, n-3, 2) key
+    array, yield (p, q, a, b): every row's diagonal (p, q) in column j and
+    the diagonal (a, b), a < b, that flipping it inserts.  The apexes a and
+    b are the low and high bit of the common-neighbour mask of p and q, the
+    rule `neighbor_moves` applies to one code."""
+    masks = _neighbour_masks(n, keys)
+    rows = np.arange(len(keys))
+    for j in range(keys.shape[1]):
+        p, q = keys[:, j, 0], keys[:, j, 1]
+        common = masks[rows, p] & masks[rows, q]
+        a = np.bitwise_count(common ^ (common - 1)) - 1
+        b = np.bitwise_count((common & (common - 1)) - 1)
+        yield p, q, a, b
+
+
+@dataclass(eq=False)
 class FlipGraphSlice:
     """The fully materialized flip-graph on all triangulations of one n.
 
-    Immutable after construction; node i is `keys[i]` and its neighbors are
-    `adjacency[i]`.  Node order is the lexicographic key order, and `index`
-    maps each node's packed code (`encode`) to its position.
+    Immutable after construction.  Node i has the diagonals `key_array[i]`
+    and the neighbours `adjacency[i]`, column j flipping its j-th diagonal;
+    node order is the lexicographic key order.  `index` holds the sorted
+    degree codes and `order[k]` the node whose code is `index[k]`.  `keys`,
+    the same rows as tuples, is decoded on first use only.
     """
 
     n: int
-    keys: tuple
-    index: dict
+    key_array: np.ndarray
+    index: np.ndarray
+    order: np.ndarray
     adjacency: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.key_array)
+
+    @cached_property
+    def keys(self) -> tuple:
+        return all_keys(self.n)
 
     def triangulation(self, i: int) -> Triangulation:
-        return Triangulation(Polygon.standard(self.n), frozenset(self.keys[i]))
+        pairs = frozenset(map(tuple, self.key_array[i].tolist()))
+        return Triangulation(Polygon.standard(self.n), pairs)
+
+    def lookup(self, codes) -> np.ndarray:
+        """The node of each degree code, or -1 where no node has it."""
+        codes = np.asarray(codes, dtype=np.uint64)
+        at = np.minimum(np.searchsorted(self.index, codes), len(self.index) - 1)
+        return np.where(self.index[at] == codes, self.order[at], -1)
 
     def index_of(self, t: Triangulation) -> int:
-        return self.index[encode(self.n, t.key_pairs())]
+        key = [list(d) for d in t.key_pairs()]
+        if t.n == self.n:
+            weights = code_weights(self.n)
+            node = int(self.lookup([sum(int(weights[v]) for d in key for v in d)])[0])
+            if node >= 0 and self.key_array[node].tolist() == key:
+                return node
+        raise PreconditionError(f"{t.text()} is no node of the n={self.n} slice")
 
 
 @lru_cache(maxsize=8)
 def _build_slice_cached(n: int) -> FlipGraphSlice:
-    keys = all_keys(n)
-    index = {encode(n, key): i for i, key in enumerate(keys)}
-    deg = max(n - 3, 0)
-    moves = (index[new] for code in index for _, new, _ in neighbor_moves(n, code))
-    adjacency = np.fromiter(moves, dtype=np.int32, count=len(keys) * deg)
-    adjacency = adjacency.reshape(len(keys), deg)
-    adjacency.setflags(write=False)
-    return FlipGraphSlice(n, keys, index, adjacency)
+    weights = code_weights(n)
+    keys = key_array(n)
+    codes = np.zeros(len(keys), dtype=np.uint64)
+    for j in range(n - 3):
+        codes += weights[keys[:, j, 0]] + weights[keys[:, j, 1]]
+    order = np.argsort(codes).astype(np.int32)
+    index = codes[order]
+    adjacency = np.empty((len(keys), n - 3), dtype=np.int32)
+    for j, (p, q, a, b) in enumerate(flip_columns(n, keys)):
+        moved = codes + weights[a] + weights[b] - weights[p] - weights[q]
+        adjacency[:, j] = order[np.searchsorted(index, moved)]
+    for array in (index, order, adjacency):
+        array.setflags(write=False)
+    return FlipGraphSlice(n, keys, index, order, adjacency)
 
 
 def build_slice(n: int, max_nodes=None) -> FlipGraphSlice:
@@ -252,14 +340,10 @@ def build_slice(n: int, max_nodes=None) -> FlipGraphSlice:
 
 def interior_degrees(slc: FlipGraphSlice) -> np.ndarray:
     """Interior degree of every vertex of every node, shape (nodes, n)."""
-    nodes = len(slc)
-    counts = np.zeros((nodes, slc.n), dtype=np.int32)
-    if slc.n == 3:
-        return counts
-    flat = np.array(slc.keys, dtype=np.int64).reshape(nodes, -1)
-    rows = np.repeat(np.arange(nodes), flat.shape[1])
-    np.add.at(counts, (rows, flat.ravel()), 1)
-    return counts
+    nodes, n = len(slc), slc.n
+    cells = slc.key_array.reshape(nodes, -1) + (np.arange(nodes) * n)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=nodes * n)
+    return counts.reshape(nodes, n).astype(np.int32)
 
 
 def max_degrees(slc: FlipGraphSlice) -> np.ndarray:
@@ -278,7 +362,7 @@ def orbit_codes(slc: FlipGraphSlice) -> np.ndarray:
     if slc.n == 3 or nodes == 1:
         return np.zeros((nodes, 1), dtype=np.int64)
     n = slc.n
-    key_arr = np.array(slc.keys, dtype=np.int64)  # (N, D, 2)
+    key_arr = slc.key_array.astype(np.int64)  # (N, D, 2)
     own = np.sort(key_arr[:, :, 0] * n + key_arr[:, :, 1], axis=1)
     best = own.copy()
     for reflected in (False, True):

@@ -5,6 +5,7 @@ need Catalan-sized memory; sweeps use a materialized slice and array BFS.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,10 +219,24 @@ def eccentricities(slc: FlipGraphSlice, nodes=None) -> np.ndarray:
     return orbit_ecc[wanted]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def distance_matrix(n: int, max_nodes=None) -> np.ndarray:
-    """All-pairs distances of the flip graph of the standard n-gon."""
+    """All-pairs distances of the flip graph of the standard n-gon.
+
+    Raises `BudgetExceededError` before allocating when the int16 matrix
+    would take more than half of physical memory."""
     slc = build_slice(n, max_nodes)
     nodes = len(slc)
+    need, limit = 2 * nodes * nodes, _physical_memory() // 2
+    if need > limit:
+        raise BudgetExceededError(
+            f"distance matrix for n={n} needs {need} bytes, above half of"
+            f" physical memory ({limit} bytes)"
+        )
     mat = np.empty((nodes, nodes), dtype=np.int16)
     for i in range(nodes):
         mat[i] = bfs_distances(slc, i)
@@ -237,13 +252,10 @@ def eccentricity(t: Triangulation, max_nodes=None) -> EccentricityResult:
     slc = build_slice(t.n, max_nodes)
     dist = bfs_distances(slc, slc.index_of(t))
     ecc = int(dist.max())
-    witness_idx = int(np.nonzero(dist == ecc)[0][0])  # keys are sorted
-    witness_key = slc.keys[witness_idx]
+    witness = slc.triangulation(int(np.nonzero(dist == ecc)[0][0]))  # keys are sorted
     relabel = _relabel_to_original(t)
-    if relabel is None:
-        witness = slc.triangulation(witness_idx)
-    else:
-        pairs = frozenset(edge(relabel[a], relabel[b]) for a, b in witness_key)
+    if relabel is not None:
+        pairs = frozenset(edge(relabel[a], relabel[b]) for a, b in witness.diagonals)
         witness = Triangulation(t.polygon, pairs)
     layers = tuple(int(c) for c in np.bincount(dist))
     return EccentricityResult(ecc, witness, layers)

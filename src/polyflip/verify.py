@@ -18,10 +18,10 @@ from .core import TriangulationError
 from .flips import (
     build_slice,
     catalan,
-    encode,
+    code_weights,
+    flip_columns,
     interior_degrees,
     max_degrees,
-    neighbor_moves,
     node_budget,
     orbit_representatives,
 )
@@ -128,6 +128,8 @@ def verify_omega(n: int, max_nodes=None) -> VerificationReport:
     member at distance >= n-3+k, every member found by scanning is that far
     too, and no member exists once k exceeds n/2-2."""
     started = time.perf_counter()
+    if n < 4:
+        return _finish("omega", n, 0, (), started, ("witness sets need n >= 4",))
     slc = build_slice(n, max_nodes)
     count = len(slc)
     all_ts = [slc.triangulation(j) for j in range(count)]
@@ -198,6 +200,8 @@ def verify_far(n: int, max_nodes=None) -> VerificationReport:
     """Both far-witness bounds and the global eccentricity lower bound
     4*ecc >= 4n+k-21, for every triangulation."""
     started = time.perf_counter()
+    if n < 6:
+        return _finish("far", n, 0, (), started, ("far witnesses need n >= 6",))
     slc = build_slice(n, max_nodes)
     gaps = _gap_values(slc)
 
@@ -367,23 +371,37 @@ def verify_remark_family(n: int, max_nodes=None) -> VerificationReport:
 def _deletion_index(slc, small) -> np.ndarray:
     """[i, a]: the node of `small`, the (n-1)-gon slice, that deleting
     vertex a from node i gives.  Vertex a merges into a+1 and the labels
-    above a move down by one; pairs that become boundary edges drop out.
-    Every key of the (n-1)-gon is in `small.index`, so a miss means the
-    contraction is no triangulation, and raises."""
+    above a move down by one; pairs that become boundary edges or repeat
+    drop out.  The rest is looked up by its degree code and must equal the
+    found node's diagonals; a miss means the contraction is no
+    triangulation, and raises."""
     n, m = slc.n, small.n
+    gone = m * m  # sorts after every diagonal p*m+q
+    weights = code_weights(m)
+    pair_weights = np.append(np.add.outer(weights, weights).ravel(), np.uint64(0))
+    wanted = small.key_array[..., 0].astype(np.intp) * m + small.key_array[..., 1]
+    keys = slc.key_array.astype(np.intp)
     out = np.empty((len(slc), n), dtype=np.intp)
     for a in range(n):
-        label = [v - (v > a) for v in range(n)]
+        label = np.arange(n) - (np.arange(n) > a)
         label[a] = label[(a + 1) % n]
-        for i, key in enumerate(slc.keys):
-            pairs = ((label[p], label[q]) for p, q in key)
-            code = encode(m, [(x, y) for x, y in pairs if 1 < (y - x) % m < m - 1])
-            if code not in small.index:
-                raise TriangulationError(
-                    f"deleting vertex {a} from {slc.triangulation(i).text()}"
-                    f" gives no triangulation of the {m}-gon"
-                )
-            out[i, a] = small.index[code]
+        x, y = label[keys[..., 0]], label[keys[..., 1]]
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        pairs = np.where((hi - lo > 1) & (hi - lo < m - 1), lo * m + hi, gone)
+        pairs.sort(axis=1)
+        pairs[:, 1:][pairs[:, 1:] == pairs[:, :-1]] = gone
+        pairs.sort(axis=1)
+        kept, rest = pairs[:, : m - 3], pairs[:, m - 3 :]
+        found = small.lookup(pair_weights[kept].sum(axis=1))
+        ok = (found >= 0) & (rest == gone).all(axis=1)
+        ok &= (wanted[found] == kept).all(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise TriangulationError(
+                f"deleting vertex {a} from {slc.triangulation(i).text()}"
+                f" gives no triangulation of the {m}-gon"
+            )
+        out[:, a] = found
     return out
 
 
@@ -393,14 +411,10 @@ def _incidence_masks(slc) -> np.ndarray:
     the sides of the flip's quadrilateral, the boundary edges with both
     ends among its four vertices."""
     n = slc.n
-    quads = np.array(
-        [
-            (1 << p) | (1 << q) | (1 << x) | (1 << y)
-            for key in slc.keys
-            for (p, q), _, (x, y) in neighbor_moves(n, encode(n, key))
-        ],
-        dtype=np.int64,
-    ).reshape(slc.adjacency.shape)
+    quads = np.empty(slc.adjacency.shape, dtype=np.int64)
+    one = np.int64(1)
+    for j, (p, q, a, b) in enumerate(flip_columns(n, slc.key_array)):
+        quads[:, j] = (one << p) | (one << q) | (one << a) | (one << b)
     return quads & ((quads >> 1) | ((quads & 1) << (n - 1)))
 
 

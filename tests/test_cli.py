@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import polyflip
 from polyflip import Triangulation, bfs_distances, build_slice
 from polyflip.cli import main
 
@@ -235,3 +239,16 @@ def test_witness_distance_honours_max_nodes(capsys, monkeypatch):
                          "--t", ZIGZAG_10_T, "--max-nodes", "100000")
     assert (code, err) == (0, "")
     assert any(line.startswith("distance=") for line in out.splitlines())
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(polyflip.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "polyflip", "verify", "--claim", "close", "--n", "6",
+         "--no-timestamp"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "close n=6: pass (14 instances)\n"

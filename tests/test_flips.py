@@ -1,16 +1,23 @@
+import dataclasses
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
 
+import polyflip.flips as flips_module
+import polyflip.verify as verify_module
 from polyflip import (
     BudgetExceededError,
     InvalidEdgeError,
     InvalidFlipError,
     Polygon,
     Triangulation,
+    TriangulationError,
     build_slice,
     catalan,
     comb,
+    diameter_radius,
     edge,
     enumerate_all,
     flip,
@@ -19,8 +26,9 @@ from polyflip import (
     neighbors,
     orbit_representatives,
     validate_triangulation,
+    verify_close,
 )
-from polyflip.flips import all_keys, decode, encode, neighbor_moves
+from polyflip.flips import all_keys, decode, encode, neighbor_moves, orbit_codes
 
 CATALAN_TABLE = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
 
@@ -204,3 +212,108 @@ def test_slice_adjacency_matches_object_flips():
         assert slc.adjacency.tolist() == expected
         for i in range(0, len(slc), 7):
             assert slc.index_of(slc.triangulation(i)) == i
+
+
+# -- oracle: the tuple-key, dict-index slice build the array build replaced ----
+
+def oracle_keys(n):
+    """Every key of the n-gon by recursing on the apex over the base edge."""
+    memo = {}
+
+    def rec(i, j):
+        if j - i < 2:
+            return [()]
+        if (i, j) not in memo:
+            memo[i, j] = [
+                left + right + ((i, k),) * (k - i > 1) + ((k, j),) * (j - k > 1)
+                for k in range(i + 1, j)
+                for left in rec(i, k)
+                for right in rec(k, j)
+            ]
+        return memo[i, j]
+
+    return sorted(tuple(sorted(ds)) for ds in rec(0, n - 1))
+
+
+def oracle_slice(n):
+    """(keys, code -> node dict, adjacency) built one node at a time from
+    `neighbor_moves`."""
+    keys = oracle_keys(n)
+    index = {encode(n, key): i for i, key in enumerate(keys)}
+    adjacency = [[index[new] for _, new, _ in neighbor_moves(n, code)] for code in index]
+    return keys, index, np.array(adjacency, dtype=np.int32).reshape(len(keys), n - 3)
+
+
+def oracle_orbit_labels(n, keys):
+    """Per node, the least key over its 2n dihedral images."""
+    return [
+        min(
+            tuple(sorted(tuple(sorted(((r - v) % n if mirror else (v + r) % n) for v in d))
+                         for d in key))
+            for mirror in (False, True)
+            for r in range(n)
+        )
+        for key in keys
+    ]
+
+
+def test_array_slice_matches_dict_build():
+    for n in range(3, 12):
+        slc = build_slice(n)
+        keys, _, adjacency = oracle_slice(n)
+        assert slc.key_array.shape == (len(keys), n - 3, 2)
+        assert slc.keys == tuple(keys) == all_keys(n)
+        assert np.array_equal(slc.adjacency, adjacency)
+        assert slc.adjacency.dtype == np.int32
+        assert [slc.index_of(slc.triangulation(i)) for i in range(len(slc))] == list(
+            range(len(slc))
+        )
+        # same orbit partition: orbit codes and oracle labels pair up one to one
+        _, codes = np.unique(orbit_codes(slc), axis=0, return_inverse=True)
+        pairs = set(zip(codes.tolist(), oracle_orbit_labels(n, keys)))
+        assert len(pairs) == len({c for c, _ in pairs}) == len({lab for _, lab in pairs})
+
+
+def test_slice_adjacency_pinned_at_12():
+    digest = hashlib.sha256(build_slice(12).adjacency.tobytes()).hexdigest()
+    assert digest == "e66ddcf4d1cadc6d19b61b001e77dd317c3d7ccdfefe0088abbbdab95b5a8dc3"
+
+
+def test_index_of_rejects_another_polygon():
+    for other in (comb(6, 0), comb(8, 0)):
+        with pytest.raises(TriangulationError, match="no node of the n=7 slice"):
+            build_slice(7).index_of(other)
+
+
+def test_deletion_index_matches_per_key_loop():
+    for n in range(4, 10):
+        m = n - 1
+        slc, small = build_slice(n), build_slice(m)
+        _, small_index, _ = oracle_slice(m)
+        expected = np.empty((len(slc), n), dtype=np.intp)
+        for a in range(n):
+            label = [v - (v > a) for v in range(n)]
+            label[a] = label[(a + 1) % n]
+            for i, key in enumerate(oracle_keys(n)):
+                pairs = ((label[p], label[q]) for p, q in key)
+                code = encode(m, [(x, y) for x, y in pairs if 1 < (y - x) % m < m - 1])
+                expected[i, a] = small_index[code]
+        assert np.array_equal(verify_module._deletion_index(slc, small), expected)
+    # a contraction that finds no node, or a node with other diagonals, raises
+    missing = dataclasses.replace(small, index=small.index[1:], order=small.order[1:])
+    swapped = dataclasses.replace(small, key_array=small.key_array[::-1])
+    for broken in (missing, swapped):
+        with pytest.raises(TriangulationError, match="gives no triangulation"):
+            verify_module._deletion_index(slc, broken)
+
+
+def test_sweeps_never_decode_key_tuples(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"all_keys({n}) decoded")
+
+    flips_module._build_slice_cached.cache_clear()
+    monkeypatch.setattr(flips_module, "all_keys", refuse)
+    assert diameter_radius(12) == (15, 9)
+    assert verify_close(11).status == "pass"
+    for n in (11, 12):
+        assert "keys" not in vars(build_slice(n))

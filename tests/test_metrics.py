@@ -5,6 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import polyflip.metrics as metrics_module
 from polyflip import (
     BudgetExceededError,
     PreconditionError,
@@ -26,6 +27,7 @@ from polyflip import (
     orbit_representatives,
     validate_triangulation,
 )
+from polyflip.cli import main
 
 
 def networkx_distance_matrix(n):
@@ -276,3 +278,13 @@ def test_flip_distance_matches_slice_bfs_n12():
                 cur, replayed = flip(cur, move.removed)
                 assert replayed == move
             assert cur == u
+
+
+def test_distance_matrix_refuses_more_than_half_of_memory(monkeypatch):
+    need = 429 * 429 * 2  # the int16 matrix at n=9
+    monkeypatch.setattr(metrics_module, "_physical_memory", lambda: 2 * need - 2)
+    with pytest.raises(BudgetExceededError, match="memory"):
+        distance_matrix(9)
+    assert main(["verify", "--claim", "deletion", "--n", "9"]) == 3
+    monkeypatch.setattr(metrics_module, "_physical_memory", lambda: 2 * need)
+    assert distance_matrix(9).shape == (429, 429)

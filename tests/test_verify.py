@@ -26,6 +26,7 @@ from polyflip import (
     verify_omega,
     verify_remark_family,
 )
+from polyflip.cli import main
 from polyflip.verify import reports_to_csv, reports_to_json
 
 
@@ -124,6 +125,28 @@ def test_deletion_lemmas_vacuous_on_triangle():
     assert r.notes == ("vertex deletion needs n >= 4",)
 
 
+def test_far_vacuous_below_hexagon():
+    for n in (3, 4, 5):
+        r = verify_far(n)
+        assert r.status == "vacuous" and r.instances == 0 and not r.failures
+        assert r.notes == ("far witnesses need n >= 6",)
+
+
+def test_omega_vacuous_on_triangle():
+    r = verify_omega(3)
+    assert r.status == "vacuous" and r.instances == 0 and not r.failures
+    assert r.notes == ("witness sets need n >= 4",)
+    assert verify_omega(4).status == "pass"
+
+
+def test_verify_all_below_hexagon_exits_zero(capsys):
+    assert main(["verify", "--all", "--n", "3..5", "--no-timestamp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "far n=5: vacuous (0 instances)" in lines
+    assert "omega n=3: vacuous (0 instances)" in lines
+    assert not any(": fail" in line for line in lines)
+
+
 def test_deletion_index_matches_vertex_deletion():
     for n in range(4, 9):
         slc, small = build_slice(n), build_slice(n - 1)
@@ -133,7 +156,9 @@ def test_deletion_index_matches_vertex_deletion():
             assert [small.index_of(t.delete(a)) for a in range(n)] == list(del_idx[i])
     # a contraction missing from the index is no triangulation
     with pytest.raises(TriangulationError, match="gives no triangulation"):
-        verify_module._deletion_index(slc, dataclasses.replace(small, index={}))
+        verify_module._deletion_index(
+            slc, dataclasses.replace(small, index=small.index[1:], order=small.order[1:])
+        )
 
 
 @pytest.fixture(scope="module")
