@@ -7,7 +7,7 @@ Each `cmd_*` handler reads the parsed arguments directly, after
 and text lines; `_write` sends the bytes to stdout or to `-o FILE`.
 
 Exit codes: 0 success (including vacuous verifications), 1 verification
-failure, 2 usage error (including a malformed POLYFLIP_NODE_BUDGET), 3
+failure, 2 usage error (including a negative or malformed node budget), 3
 resource budget exceeded, 4 internal error (any other exception, reported as
 one `internal error: <type>: <message>` line on stderr, with no traceback).
 `verify --workers` is accepted for compatibility and ignored; every run is

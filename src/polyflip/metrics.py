@@ -5,7 +5,6 @@ need Catalan-sized memory; sweeps use a materialized slice and array BFS.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
 from .flips import (
     FlipGraphSlice,
     FlipMove,
+    _physical_memory,
     build_slice,
     encode,
     neighbor_moves,
@@ -162,13 +162,33 @@ def _node_indices(slc: FlipGraphSlice, nodes) -> np.ndarray:
     return idx
 
 
+def _reach_levels(cols: list, nodes: int, batch: np.ndarray):
+    """Bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013) from up to
+    64 distinct nodes `batch` at once, over the adjacency columns `cols`.
+    Yields, for levels 1, 2, ..., a uint64 mask per node whose bit s is set
+    when batch[s] first reaches that node at that level."""
+    frontier = np.zeros(nodes, dtype=np.uint64)
+    frontier[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
+    visited = frontier.copy()
+    while True:
+        reach = np.zeros(nodes, dtype=np.uint64)
+        for col in cols:
+            reach |= frontier[col]
+        reach &= ~visited
+        if not reach.any():
+            return
+        visited |= reach
+        yield reach
+        frontier = reach
+
+
 def farthest(slc: FlipGraphSlice, sources, targets=None) -> np.ndarray:
     """Per source, its greatest distance to any node of the boolean mask
     `targets`; with no mask that is every node, so the eccentricity.
 
-    Bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013): 64 sources
-    run per pass, each one bit of a uint64 frontier/visited mask per node.
-    A source reaching no target reports 0.
+    Runs the bit-parallel BFS, 64 distinct sources per pass, and keeps per
+    source the last level that reached a target.  A source reaching no
+    target reports 0.
     """
     nodes = len(slc)
     unique, back = np.unique(_node_indices(slc, sources), return_inverse=True)
@@ -181,24 +201,41 @@ def farthest(slc: FlipGraphSlice, sources, targets=None) -> np.ndarray:
     for start in range(0, len(unique), 64):
         batch = unique[start : start + 64]
         shifts = np.arange(len(batch), dtype=np.uint64)
-        frontier = np.zeros(nodes, dtype=np.uint64)
-        frontier[batch] = np.uint64(1) << shifts
-        visited = frontier.copy()
-        level = 0
-        while True:
-            reach = np.zeros(nodes, dtype=np.uint64)
-            for col in cols:
-                reach |= frontier[col]
-            reach &= ~visited
-            if not reach.any():
-                break
-            level += 1
-            visited |= reach
-            hit = np.bitwise_or.reduce(reach if targets is None else reach[targets])
+        # per level, the sources reaching a target; a comprehension, so no
+        # level's masks outlive the pass
+        hits = [
+            np.bitwise_or.reduce(reach if targets is None else reach[targets])
+            for reach in _reach_levels(cols, nodes, batch)
+        ]
+        for level, hit in enumerate(hits, 1):
             reached = ((hit >> shifts) & np.uint64(1)).astype(bool)
             out[start : start + len(batch)][reached] = level
-            frontier = reach
     return out[back]
+
+
+def distance_rows(slc: FlipGraphSlice, sources):
+    """Yield (source, row) for each of the node indices `sources`, in order:
+    `row` is the int16 distance from that node to every node.
+
+    Runs the bit-parallel BFS, one pass per 64 sources, each distinct
+    source once, and adds each level's unpacked masks, times the level, into
+    the distances of the pass.
+    """
+    idx = _node_indices(slc, sources)
+    nodes = len(slc)
+    cols = [np.ascontiguousarray(c, dtype=np.intp) for c in slc.adjacency.T]
+    for start in range(0, len(idx), 64):
+        chunk = idx[start : start + 64]
+        batch, back = np.unique(chunk, return_inverse=True)
+        dist = np.zeros((nodes, len(batch)), dtype=np.int16)
+        for level, reach in enumerate(_reach_levels(cols, nodes, batch), 1):
+            # byte k of a little-endian uint64 holds bits 8k..8k+7
+            bits = np.unpackbits(
+                reach.astype("<u8").view(np.uint8).reshape(nodes, 8),
+                axis=1, count=len(batch), bitorder="little",
+            )
+            dist += bits * np.int16(level)
+        yield from zip(chunk.tolist(), np.ascontiguousarray(dist.T[back]))
 
 
 def eccentricities(slc: FlipGraphSlice, nodes=None) -> np.ndarray:
@@ -219,11 +256,6 @@ def eccentricities(slc: FlipGraphSlice, nodes=None) -> np.ndarray:
     return orbit_ecc[wanted]
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def distance_matrix(n: int, max_nodes=None) -> np.ndarray:
     """All-pairs distances of the flip graph of the standard n-gon.
 
@@ -238,8 +270,8 @@ def distance_matrix(n: int, max_nodes=None) -> np.ndarray:
             f" physical memory ({limit} bytes)"
         )
     mat = np.empty((nodes, nodes), dtype=np.int16)
-    for i in range(nodes):
-        mat[i] = bfs_distances(slc, i)
+    for source, row in distance_rows(slc, range(nodes)):
+        mat[source] = row
     mat.setflags(write=False)
     return mat
 

@@ -26,8 +26,8 @@ from .flips import (
     orbit_representatives,
 )
 from .metrics import (
-    bfs_distances,
     distance_matrix,
+    distance_rows,
     eccentricities,
     farthest,
 )
@@ -133,66 +133,45 @@ def verify_omega(n: int, max_nodes=None) -> VerificationReport:
     slc = build_slice(n, max_nodes)
     count = len(slc)
     all_ts = [slc.triangulation(j) for j in range(count)]
-    ears_of = [t.ears() for t in all_ts]
+    # the candidates U for vertex v: every node with an ear at v
+    ear_at = [np.flatnonzero(column == 0).tolist() for column in interior_degrees(slc).T]
 
-    def check(i) -> list:
+    def check(i, dist) -> list:
         t = all_ts[i]
         fails = []
-        dist = bfs_distances(slc, i)
         for v in range(n):
             k_v = n - 3 - t.interior_degree(v)
             bound = n - 3 + k_v
+            close = 2 * k_v <= n - 4
             base = {"t": t.text(), "v": v, "k": k_v}
-            if 2 * k_v <= n - 4:
+            far = []  # (node, what) that must lie at distance >= bound
+            if close:
                 try:
                     witness = omega_witness(t, v)
                 except TriangulationError as exc:
                     fails.append(dict(base, problem=f"witness construction: {exc}"))
                     continue
                 if omega_member(t, v, witness) is None:
-                    fails.append(
-                        dict(base, u=witness.text(), problem="witness not a member")
-                    )
-                elif int(dist[slc.index_of(witness)]) < bound:
-                    fails.append(
-                        dict(
-                            base,
-                            u=witness.text(),
-                            distance=int(dist[slc.index_of(witness)]),
-                            bound=bound,
-                            problem="witness too close",
-                        )
-                    )
-                for j in range(count):
-                    if v not in ears_of[j]:
-                        continue
-                    if omega_member(t, v, all_ts[j]) is None:
-                        continue
-                    if int(dist[j]) < bound:
-                        fails.append(
-                            dict(
-                                base,
-                                u=all_ts[j].text(),
-                                distance=int(dist[j]),
-                                bound=bound,
-                                problem="member too close",
-                            )
-                        )
+                    fails.append(dict(base, u=witness.text(), problem="witness not a member"))
+                else:
+                    far.append((slc.index_of(witness), "witness"))
+            members = [j for j in ear_at[v] if omega_member(t, v, all_ts[j]) is not None]
+            if close:
+                far += [(j, "member") for j in members]
             else:
-                for j in range(count):
-                    if v not in ears_of[j]:
-                        continue
-                    if omega_member(t, v, all_ts[j]) is not None:
-                        fails.append(
-                            dict(
-                                base,
-                                u=all_ts[j].text(),
-                                problem="member found in a provably empty set",
-                            )
-                        )
+                fails += [
+                    dict(base, u=all_ts[j].text(), problem="member found in a provably empty set")
+                    for j in members
+                ]
+            fails += [
+                dict(base, u=all_ts[j].text(), distance=int(dist[j]), bound=bound,
+                     problem=f"{what} too close")
+                for j, what in far
+                if dist[j] < bound
+            ]
         return fails
 
-    failures = [f for i in range(count) for f in check(i)]
+    failures = [f for i, dist in distance_rows(slc, range(count)) for f in check(i, dist)]
     return _finish("omega", n, count * n, failures, started)
 
 
@@ -205,39 +184,25 @@ def verify_far(n: int, max_nodes=None) -> VerificationReport:
     slc = build_slice(n, max_nodes)
     gaps = _gap_values(slc)
 
-    def check(i) -> list:
+    def check(i, dist) -> list:
         t = slc.triangulation(i)
         fails = []
-        dist = bfs_distances(slc, i)
         for kind, make in (("long", far_witness_long), ("short", far_witness_short)):
             try:
                 u, bound = make(t)
             except TriangulationError as exc:
                 fails.append({"t": t.text(), "witness": kind, "problem": str(exc)})
                 continue
+            base = {"t": t.text(), "witness": kind, "u": u.text()}
             shared = sorted(t.diagonals & u.diagonals)
             d = int(dist[slc.index_of(u)])
             if shared:
                 fails.append(
-                    {
-                        "t": t.text(),
-                        "witness": kind,
-                        "u": u.text(),
-                        "shared": [list(e) for e in shared],
-                        "problem": "witness shares interior edges",
-                    }
+                    dict(base, shared=[list(e) for e in shared],
+                         problem="witness shares interior edges")
                 )
             if d < bound:
-                fails.append(
-                    {
-                        "t": t.text(),
-                        "witness": kind,
-                        "u": u.text(),
-                        "distance": d,
-                        "bound": bound,
-                        "problem": "witness too close",
-                    }
-                )
+                fails.append(dict(base, distance=d, bound=bound, problem="witness too close"))
         ecc = int(dist.max())
         if 4 * ecc < 4 * n + int(gaps[i]) - 21:
             fails.append(
@@ -250,7 +215,7 @@ def verify_far(n: int, max_nodes=None) -> VerificationReport:
             )
         return fails
 
-    failures = [f for i in range(len(slc)) for f in check(i)]
+    failures = [f for i, dist in distance_rows(slc, range(len(slc))) for f in check(i, dist)]
     return _finish("far", n, len(slc), failures, started)
 
 

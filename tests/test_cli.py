@@ -221,6 +221,20 @@ def test_bad_node_budget_variable_is_usage_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_negative_node_budget_is_usage_error(capsys, monkeypatch):
+    code, _, err = run(capsys, "enumerate", "--n", "6", "--max-nodes", "-1")
+    assert code == 2
+    assert "negative" in err
+    monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "-1")
+    code, _, err = run(capsys, "enumerate", "--n", "5")
+    assert code == 2
+    assert "negative" in err
+    monkeypatch.delenv("POLYFLIP_NODE_BUDGET")
+    code, _, err = run(capsys, "enumerate", "--n", "6", "--max-nodes", "0")
+    assert code == 3
+    assert "budget of 0" in err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run(capsys, "enumerate", "--n", "4", "-o", str(target))

@@ -12,12 +12,12 @@ from polyflip import (
     InvalidEdgeError,
     InvalidFlipError,
     Polygon,
+    PreconditionError,
     Triangulation,
     TriangulationError,
     build_slice,
     catalan,
     comb,
-    diameter_radius,
     edge,
     enumerate_all,
     flip,
@@ -26,9 +26,9 @@ from polyflip import (
     neighbors,
     orbit_representatives,
     validate_triangulation,
-    verify_close,
 )
-from polyflip.flips import all_keys, decode, encode, neighbor_moves, orbit_codes
+from polyflip.cli import main
+from polyflip.flips import encode, key_array, neighbor_moves, node_budget, orbit_codes
 
 CATALAN_TABLE = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
 
@@ -137,6 +137,30 @@ def test_budget_is_enforced(monkeypatch):
     assert len(build_slice(9)) == 429
 
 
+def test_negative_node_budget_is_bad_input(monkeypatch):
+    with pytest.raises(PreconditionError, match="negative"):
+        node_budget(-1)
+    with pytest.raises(PreconditionError, match="negative"):
+        build_slice(6, max_nodes=-1)
+    monkeypatch.setenv("POLYFLIP_NODE_BUDGET", "-1")
+    with pytest.raises(PreconditionError, match="negative"):
+        node_budget()
+    # a budget of 0 is valid and admits no slice
+    assert node_budget(0) == 0
+    with pytest.raises(BudgetExceededError):
+        build_slice(6, max_nodes=0)
+
+
+def test_slice_refuses_more_than_half_of_memory(monkeypatch):
+    # half of this memory leaves 50 bytes for each of the 429 nodes at n=9
+    monkeypatch.setattr(flips_module, "_physical_memory", lambda: 2 * 429 * 100)
+    with pytest.raises(BudgetExceededError, match="memory"):
+        build_slice(9)
+    assert main(["enumerate", "--n", "9"]) == 3
+    monkeypatch.setattr(flips_module, "_physical_memory", lambda: 1 << 30)
+    assert len(build_slice(9)) == 429
+
+
 def test_max_degrees_agrees_with_objects():
     slc = build_slice(8)
     degs = max_degrees(slc)
@@ -151,7 +175,7 @@ def test_orbit_representatives_cover_everything():
         seen = set()
         poly = Polygon.standard(n)
         for r in reps:
-            key = slc.keys[int(r)]
+            key = slc.key_array[int(r)].tolist()
             for reflect in (False, True):
                 for rot in range(n):
                     mapped = frozenset(
@@ -176,15 +200,9 @@ def test_eccentricity_constant_on_orbits():
         assert eccentricity(t).eccentricity == eccentricity(rotated).eccentricity
 
 
-def test_encode_decode_round_trip():
-    for n in range(3, 10):
-        for key in all_keys(n):
-            assert decode(n, encode(n, key)) == key
-
-
 def test_codes_descend_in_key_order():
     for n in range(3, 12):
-        codes = [encode(n, key) for key in all_keys(n)]
+        codes = [encode(n, key) for key in key_array(n).tolist()]
         assert all(a > b for a, b in zip(codes, codes[1:]))
 
 
@@ -197,17 +215,18 @@ def test_neighbor_moves_agree_with_flip_and_invert():
             for removed, new_code, inserted in moves:
                 u, move = flip(t, removed)
                 assert move.inserted == inserted
-                assert decode(n, new_code) == u.key_pairs()
+                assert new_code == encode(n, u.key_pairs())
                 assert (inserted, code, removed) in neighbor_moves(n, new_code)
 
 
 def test_slice_adjacency_matches_object_flips():
     for n in range(3, 10):
         slc = build_slice(n)
-        index = {key: i for i, key in enumerate(slc.keys)}
+        keys = [tuple(map(tuple, row)) for row in slc.key_array.tolist()]
+        index = {key: i for i, key in enumerate(keys)}
         expected = [
             [index[flip(slc.triangulation(i), d)[0].key_pairs()] for d in sorted(key)]
-            for i, key in enumerate(slc.keys)
+            for i, key in enumerate(keys)
         ]
         assert slc.adjacency.tolist() == expected
         for i in range(0, len(slc), 7):
@@ -262,7 +281,8 @@ def test_array_slice_matches_dict_build():
         slc = build_slice(n)
         keys, _, adjacency = oracle_slice(n)
         assert slc.key_array.shape == (len(keys), n - 3, 2)
-        assert slc.keys == tuple(keys) == all_keys(n)
+        assert slc.key_array.tolist() == [[list(d) for d in key] for key in keys]
+        assert [t.key_pairs() for t in enumerate_all(n)] == keys
         assert np.array_equal(slc.adjacency, adjacency)
         assert slc.adjacency.dtype == np.int32
         assert [slc.index_of(slc.triangulation(i)) for i in range(len(slc))] == list(
@@ -305,15 +325,3 @@ def test_deletion_index_matches_per_key_loop():
     for broken in (missing, swapped):
         with pytest.raises(TriangulationError, match="gives no triangulation"):
             verify_module._deletion_index(slc, broken)
-
-
-def test_sweeps_never_decode_key_tuples(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"all_keys({n}) decoded")
-
-    flips_module._build_slice_cached.cache_clear()
-    monkeypatch.setattr(flips_module, "all_keys", refuse)
-    assert diameter_radius(12) == (15, 9)
-    assert verify_close(11).status == "pass"
-    for n in (11, 12):
-        assert "keys" not in vars(build_slice(n))

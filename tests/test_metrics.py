@@ -28,6 +28,7 @@ from polyflip import (
     validate_triangulation,
 )
 from polyflip.cli import main
+from polyflip.metrics import distance_rows
 
 
 def networkx_distance_matrix(n):
@@ -196,13 +197,52 @@ def test_distance_matrix_symmetric_and_metric():
         assert (m[:, :, None] <= m[:, None, :] + m[None, :, :]).all()
 
 
+def test_distance_rows_equal_per_source_bfs():
+    # every source at n=3..11; the n=3 slice has no adjacency columns
+    for n in range(3, 12):
+        slc = build_slice(n)
+        rows = list(distance_rows(slc, range(len(slc))))
+        assert [source for source, _ in rows] == list(range(len(slc)))
+        for source, row in rows:
+            assert row.dtype == np.int16
+            assert np.array_equal(row, bfs_distances(slc, source))
+    assert [(s, row.tolist()) for s, row in distance_rows(build_slice(3), [0])] == [(0, [0])]
+
+
+def test_distance_rows_batches_repeats_and_empty():
+    slc = build_slice(9)
+    rng = random.Random(9)
+    for size in (63, 64, 65, 129):
+        sources = rng.sample(range(len(slc)), size)
+        rows = list(distance_rows(slc, sources))
+        assert [source for source, _ in rows] == sources
+        for source, row in rows:
+            assert np.array_equal(row, bfs_distances(slc, source))
+    # a repeat inside one pass and across passes
+    sources = [7, 7] + rng.sample(range(len(slc)), 70) + [7]
+    rows = list(distance_rows(slc, sources))
+    assert [source for source, _ in rows] == sources
+    for source, row in rows:
+        assert np.array_equal(row, bfs_distances(slc, source))
+    assert list(distance_rows(slc, [])) == []
+    with pytest.raises(PreconditionError):
+        list(distance_rows(slc, [len(slc)]))
+
+
+def test_distance_matrix_equals_stacked_bfs_rows():
+    for n in range(3, 10):
+        slc = build_slice(n)
+        expected = np.stack([bfs_distances(slc, i) for i in range(len(slc))])
+        assert np.array_equal(distance_matrix(n), expected)
+
+
 def test_distance_one_iff_neighbors():
     slc = build_slice(6)
     mat = distance_matrix(6)
     for i in range(len(slc)):
         nbr_keys = {u.key_pairs() for u in neighbors(slc.triangulation(i))}
         for j in range(len(slc)):
-            is_nbr = slc.keys[j] in nbr_keys
+            is_nbr = slc.triangulation(j).key_pairs() in nbr_keys
             assert (mat[i, j] == 1) == is_nbr
 
 
@@ -245,6 +285,7 @@ def test_diameter_radius_small():
     assert diameter_radius(6)[1] == 3
     assert diameter_radius(7) == (5, 4)
     assert diameter_radius(8) == (7, 5)
+    assert diameter_radius(12) == (15, 9)
 
 
 def test_diameter_matches_matrix():

@@ -180,7 +180,7 @@ def replayed_walks_n7():
         for k, node, col in zip(live, nodes, cols):
             t = current[k]
             assert slc.index_of(t) == node
-            removed = slc.keys[node][col]
+            removed = slc.key_array[node, col].tolist()
             for a in range(n):
                 by_mask[k, a] += (int(masks[node, col]) >> a) & 1
                 by_flip[k, a] += flip_incident_to(t, removed, (a, (a + 1) % n))
