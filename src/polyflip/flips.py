@@ -148,6 +148,17 @@ def key_array(n: int) -> np.ndarray:
     return keys
 
 
+@lru_cache(maxsize=32)
+def all_keys(n: int) -> tuple:
+    """All triangulation keys of the standard n-gon, lexicographically
+    sorted: `key_array(n)` decoded to tuples, one shared tuple per
+    diagonal.  No sweep reads it; slices hold `key_array` only."""
+    keys = key_array(n)
+    pairs = [(p, q) for p in range(n) for q in range(n)]
+    rows = (keys[..., 0].astype(np.intp) * n + keys[..., 1]).tolist()
+    return tuple(tuple(map(pairs.__getitem__, row)) for row in rows)
+
+
 def enumerate_all(n: int):
     """Yield every triangulation of the standard n-gon exactly once, in
     lexicographic key order."""

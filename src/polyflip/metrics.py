@@ -201,13 +201,8 @@ def farthest(slc: FlipGraphSlice, sources, targets=None) -> np.ndarray:
     for start in range(0, len(unique), 64):
         batch = unique[start : start + 64]
         shifts = np.arange(len(batch), dtype=np.uint64)
-        # per level, the sources reaching a target; a comprehension, so no
-        # level's masks outlive the pass
-        hits = [
-            np.bitwise_or.reduce(reach if targets is None else reach[targets])
-            for reach in _reach_levels(cols, nodes, batch)
-        ]
-        for level, hit in enumerate(hits, 1):
+        for level, reach in enumerate(_reach_levels(cols, nodes, batch), 1):
+            hit = np.bitwise_or.reduce(reach if targets is None else reach[targets])
             reached = ((hit >> shifts) & np.uint64(1)).astype(bool)
             out[start : start + len(batch)][reached] = level
     return out[back]

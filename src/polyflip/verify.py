@@ -205,14 +205,8 @@ def verify_far(n: int, max_nodes=None) -> VerificationReport:
                 fails.append(dict(base, distance=d, bound=bound, problem="witness too close"))
         ecc = int(dist.max())
         if 4 * ecc < 4 * n + int(gaps[i]) - 21:
-            fails.append(
-                {
-                    "t": t.text(),
-                    "eccentricity": ecc,
-                    "k": int(gaps[i]),
-                    "problem": "eccentricity below 4n+k-21 over 4",
-                }
-            )
+            fails.append({"t": t.text(), "eccentricity": ecc, "k": int(gaps[i]),
+                          "problem": "eccentricity below 4n+k-21 over 4"})
         return fails
 
     failures = [f for i, dist in distance_rows(slc, range(len(slc))) for f in check(i, dist)]

@@ -18,6 +18,7 @@ from polyflip import (
     build_slice,
     catalan,
     comb,
+    diameter_radius,
     edge,
     enumerate_all,
     flip,
@@ -26,9 +27,10 @@ from polyflip import (
     neighbors,
     orbit_representatives,
     validate_triangulation,
+    verify_close,
 )
 from polyflip.cli import main
-from polyflip.flips import encode, key_array, neighbor_moves, node_budget, orbit_codes
+from polyflip.flips import all_keys, encode, key_array, neighbor_moves, node_budget, orbit_codes
 
 CATALAN_TABLE = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429, 10: 1430, 11: 4862, 12: 16796}
 
@@ -282,6 +284,7 @@ def test_array_slice_matches_dict_build():
         keys, _, adjacency = oracle_slice(n)
         assert slc.key_array.shape == (len(keys), n - 3, 2)
         assert slc.key_array.tolist() == [[list(d) for d in key] for key in keys]
+        assert all_keys(n) == tuple(keys)
         assert [t.key_pairs() for t in enumerate_all(n)] == keys
         assert np.array_equal(slc.adjacency, adjacency)
         assert slc.adjacency.dtype == np.int32
@@ -325,3 +328,15 @@ def test_deletion_index_matches_per_key_loop():
     for broken in (missing, swapped):
         with pytest.raises(TriangulationError, match="gives no triangulation"):
             verify_module._deletion_index(slc, broken)
+
+
+def test_sweeps_never_decode_key_tuples(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"all_keys({n}) decoded")
+
+    flips_module._build_slice_cached.cache_clear()
+    monkeypatch.setattr(flips_module, "all_keys", refuse)
+    assert diameter_radius(12) == (15, 9)
+    assert verify_close(11).status == "pass"
+    for n in (11, 12):
+        assert "keys" not in vars(build_slice(n))

@@ -285,7 +285,6 @@ def test_diameter_radius_small():
     assert diameter_radius(6)[1] == 3
     assert diameter_radius(7) == (5, 4)
     assert diameter_radius(8) == (7, 5)
-    assert diameter_radius(12) == (15, 9)
 
 
 def test_diameter_matches_matrix():
