@@ -5,7 +5,6 @@ low-degree family with small eccentricity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -83,26 +82,20 @@ class Shelling:
 
 
 def non_neighbors(t: Triangulation, v: int) -> list[int]:
-    all_edges = t.edges()
-    return [w for w in t.polygon.vertices if w != v and edge(v, w) not in all_edges]
+    nbrs = t.neighbours(v)
+    return [w for w in t.polygon.vertices if w != v and w not in nbrs]
 
 
-@lru_cache(maxsize=200_000)
-def _restricted_diagonals(t: Triangulation, removed: frozenset) -> frozenset:
-    """Diagonals of t surviving on the polygon with `removed` dropped."""
-    keep = [v for v in t.polygon.vertices if v not in removed]
-    keep_set = set(keep)
-    m = len(keep)
-    consecutive = {edge(keep[i], keep[(i + 1) % m]) for i in range(m)}
-    return frozenset(
-        e
-        for e in t.diagonals
-        if e[0] in keep_set and e[1] in keep_set and e not in consecutive
-    )
+def _interior_neighbours(t: Triangulation, c: int) -> frozenset:
+    """The vertices joined to c by a diagonal of t."""
+    return t.neighbours(c) - {t.polygon.pred(c), t.polygon.succ(c)}
 
 
 def _restricted_ear(t: Triangulation, removed: frozenset, c: int) -> bool:
-    return all(c not in e for e in _restricted_diagonals(t, removed))
+    """Whether c is an ear of t's edges on the vertices outside `removed`.
+    Exact for every set `_shell` reaches: it removes ears only, so the kept
+    edges triangulate the kept polygon, where an ear has two neighbours."""
+    return len(t.neighbours(c) - removed) == 2
 
 
 def _shell(t: Triangulation, target: frozenset, support=None) -> Optional[list]:
@@ -148,8 +141,9 @@ def find_shelling(t: Triangulation, v: int) -> Shelling:
 
 
 def validate_shelling(t: Triangulation, shelling: Shelling) -> bool:
-    """Replay the definition: every suffix removal must leave a valid
-    triangulation of the remaining convex polygon."""
+    """Replay the definition: every suffix removal must leave the edges of t
+    on the remaining vertices a triangulation of their convex polygon, its
+    sides included."""
     if sorted(shelling.order) != sorted(non_neighbors(t, shelling.v)):
         return False
     for i in range(len(shelling.order), -1, -1):
@@ -157,8 +151,12 @@ def validate_shelling(t: Triangulation, shelling: Shelling) -> bool:
         keep = tuple(v for v in t.polygon.vertices if v not in removed)
         if len(keep) < 3:
             return False
+        sides = {edge(keep[j], keep[(j + 1) % len(keep)]) for j in range(len(keep))}
+        if not sides <= t.edges():
+            return False
+        kept = [e for e in t.diagonals if set(e) <= set(keep) and e not in sides]
         try:
-            validate_triangulation(Polygon(keep), _restricted_diagonals(t, removed))
+            validate_triangulation(Polygon(keep), kept)
         except TriangulationError:
             return False
     return True
@@ -198,10 +196,7 @@ def omega_member(
     if v not in u.ears():
         return None
     target = frozenset(non_neighbors(t, v))
-    u_nbrs = {
-        c: sorted((b if a == c else a) for a, b in u.diagonals if c in (a, b))
-        for c in target
-    }
+    u_nbrs = {c: sorted(_interior_neighbours(u, c)) for c in target}
     if any(len(ws) < 2 for ws in u_nbrs.values()):
         return None
 
@@ -345,7 +340,7 @@ def omega_tilde_member(
 
 
 def _interior_adjacent(t: Triangulation, w: int, x: int, y: int) -> bool:
-    return edge(w, x) in t.diagonals or edge(w, y) in t.diagonals
+    return not _interior_neighbours(t, w).isdisjoint((x, y))
 
 
 def right_support_count(t: Triangulation, x: int, y: int) -> int:

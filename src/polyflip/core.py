@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 
@@ -139,6 +138,14 @@ class Polygon:
         return Polygon(tuple(v for v in self.vertices if v != a))
 
 
+def canonical_order(polygon: Polygon) -> tuple:
+    """The polygon's labels clockwise from its smallest one: canonical label
+    i, the label in every key, stands for vertex canonical_order(polygon)[i]."""
+    vs = polygon.vertices
+    start = polygon.position(min(vs))
+    return vs[start:] + vs[:start]
+
+
 def crossing(polygon: Polygon, e1: Iterable[int], e2: Iterable[int]) -> bool:
     """True iff the two edges cross, i.e. their endpoints separate each other
     on the polygon's cyclic order.  Edges sharing an endpoint never cross."""
@@ -171,46 +178,52 @@ class Triangulation:
     def n(self) -> int:
         return self.polygon.n
 
+    @cached_property
+    def _neighbour_map(self) -> dict:
+        """Each vertex's neighbours along all edges, boundary edges included;
+        computed once per object, outside equality and hashing."""
+        vs = self.polygon.vertices
+        nbrs = {v: {vs[i - 1], vs[(i + 1) % len(vs)]} for i, v in enumerate(vs)}
+        for a, b in self.diagonals:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        return {v: frozenset(ws) for v, ws in nbrs.items()}
+
+    def neighbours(self, v: int) -> frozenset:
+        """The vertices joined to v by an edge, boundary edges included."""
+        try:
+            return self._neighbour_map[v]
+        except KeyError:
+            raise InvalidEdgeError(f"vertex {v} is not in the polygon") from None
+
     def edges(self) -> frozenset:
         return self.diagonals | self.polygon.boundary_edges()
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        return edge(*e) in self.edges()
+        a, b = edge(*e)
+        return b in self._neighbour_map.get(a, ())
 
     def interior_degree(self, v: int) -> int:
-        self.polygon.position(v)
-        return sum(1 for e in self.diagonals if v in e)
+        return len(self.neighbours(v)) - 2
 
     def max_interior_degree(self) -> int:
-        counts = defaultdict(int)
-        for a, b in self.diagonals:
-            counts[a] += 1
-            counts[b] += 1
-        return max(counts.values(), default=0)
+        return max(map(len, self._neighbour_map.values())) - 2
 
     def comb_gap(self) -> int:
         """n-3 minus the largest interior degree; zero exactly for combs."""
         return (self.n - 3) - self.max_interior_degree()
 
     def ears(self) -> frozenset:
-        incident = set()
-        for a, b in self.diagonals:
-            incident.add(a)
-            incident.add(b)
-        return frozenset(v for v in self.polygon.vertices if v not in incident)
+        return frozenset(v for v, ws in self._neighbour_map.items() if len(ws) == 2)
 
     def triangles(self) -> list[tuple[int, int, int]]:
         """The n-2 triangles, each as a clockwise triple starting at its
         smallest label."""
         poly = self.polygon
-        nbrs: dict[int, list[int]] = defaultdict(list)
-        for a, b in self.edges():
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         found = set()
-        for v in poly.vertices:
+        for v, ws in self._neighbour_map.items():
             pv = poly.position(v)
-            ordered = sorted(nbrs[v], key=lambda w: (poly.position(w) - pv) % poly.n)
+            ordered = sorted(ws, key=lambda w: (poly.position(w) - pv) % poly.n)
             for q, r in zip(ordered, ordered[1:]):
                 # the star of v is a fan, so consecutive neighbors are joined
                 tri = (v, q, r)
@@ -239,12 +252,9 @@ class Triangulation:
     def canonical_key(self) -> tuple:
         """(n, sorted diagonals) after relabeling clockwise positions to
         0..n-1 starting from the smallest label."""
-        poly = self.polygon
-        start = poly.position(min(poly.vertices))
-        n = poly.n
-        relabel = {v: (poly.position(v) - start) % n for v in poly.vertices}
-        pairs = tuple(sorted(edge(relabel[a], relabel[b]) for a, b in self.diagonals))
-        return (n, pairs)
+        label = {v: i for i, v in enumerate(canonical_order(self.polygon))}
+        pairs = tuple(sorted(edge(label[a], label[b]) for a, b in self.diagonals))
+        return (self.n, pairs)
 
     def key_pairs(self) -> tuple:
         """The canonical diagonal list alone (labels 0..n-1 by position)."""
@@ -267,7 +277,7 @@ class Triangulation:
         if not m:
             raise TriangulationError(f"bad triangulation literal: {s!r}")
         n = int(m.group(1))
-        return Triangulation.from_pairs(n, _parse_pairs(m.group(2)))
+        return Triangulation.from_pairs(n, parse_diagonals(m.group(2)))
 
     @staticmethod
     def from_json(s: str) -> "Triangulation":
@@ -279,7 +289,8 @@ class Triangulation:
         return validate_triangulation(Polygon.standard(n), set(edge(*p) for p in pairs))
 
 
-def _parse_pairs(body: str) -> list[tuple[int, int]]:
+def parse_diagonals(body: str) -> list[tuple[int, int]]:
+    """Parse a bare ``i-j,i-j`` diagonal list (the CLI literal form)."""
     body = body.strip()
     if not body:
         return []
@@ -290,11 +301,6 @@ def _parse_pairs(body: str) -> list[tuple[int, int]]:
             raise TriangulationError(f"bad diagonal literal: {chunk!r}")
         pairs.append((int(m.group(1)), int(m.group(2))))
     return pairs
-
-
-def parse_diagonals(body: str) -> list[tuple[int, int]]:
-    """Parse a bare ``i-j,i-j`` diagonal list (the CLI literal form)."""
-    return _parse_pairs(body)
 
 
 def validate_triangulation(polygon: Polygon, diagonals: Iterable) -> Triangulation:

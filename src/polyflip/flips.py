@@ -79,15 +79,10 @@ def flip(t: Triangulation, d) -> tuple[Triangulation, FlipMove]:
     if d not in t.diagonals:
         raise InvalidFlipError(f"{d} is not a diagonal of the triangulation")
     p, q = d
-    all_edges = t.edges()
-    apexes = [
-        w
-        for w in t.polygon.vertices
-        if w != p and w != q and edge(p, w) in all_edges and edge(q, w) in all_edges
-    ]
+    apexes = t.neighbours(p) & t.neighbours(q)
     assert len(apexes) == 2, "a diagonal always bounds exactly two triangles"
     inserted = edge(*apexes)
-    move = FlipMove(d, inserted, tuple(sorted((p, q) + tuple(apexes))))
+    move = FlipMove(d, inserted, tuple(sorted(d + inserted)))
     flipped = Triangulation(t.polygon, (t.diagonals - {d}) | {inserted})
     return flipped, move
 

@@ -14,6 +14,7 @@ from .core import (
     PreconditionError,
     Triangulation,
     TriangulationError,
+    canonical_order,
     edge,
 )
 from .flips import (
@@ -121,15 +122,13 @@ def _move(removed: tuple, inserted: tuple) -> FlipMove:
 
 
 def _relabel_to_original(t: Triangulation):
-    """Map canonical labels 0..n-1 back to the polygon's own labels."""
-    poly = t.polygon
-    if poly.vertices == tuple(range(poly.n)):
-        return None
-    start = poly.position(min(poly.vertices))
-    return {i: poly.vertex_at(start + i) for i in range(poly.n)}
+    """Map canonical labels 0..n-1 back to the polygon's own labels, or None
+    when they are the same."""
+    order = canonical_order(t.polygon)
+    return None if order == tuple(range(t.n)) else order
 
 
-def _relabel_move(m: FlipMove, relabel: dict) -> FlipMove:
+def _relabel_move(m: FlipMove, relabel) -> FlipMove:
     return FlipMove(
         edge(relabel[m.removed[0]], relabel[m.removed[1]]),
         edge(relabel[m.inserted[0]], relabel[m.inserted[1]]),

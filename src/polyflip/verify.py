@@ -403,7 +403,7 @@ _PAIR_CHUNK = 1 << 11  # pairs checked at once; bounds the per-pair arrays
 def verify_deletion_lemmas(n: int, max_nodes=None) -> VerificationReport:
     """Vertex-deletion distance inequalities over every pair: monotonicity,
     the incident-flip counting bound along one geodesic per pair, and the
-    ear-with-two-edges step of +2.
+    ear-with-two-edges step of +2 with the ear in either triangulation.
 
     The geodesic comes from the distance rows: from the current node, flip
     the first adjacency column whose node is one step closer to the target.
@@ -435,36 +435,33 @@ def verify_deletion_lemmas(n: int, max_nodes=None) -> VerificationReport:
         incident = np.zeros_like(smaller)
         for live, nodes, moves in _geodesic_steps(slc, mat, rows, cols):
             incident[live] += (masks[nodes, moves][:, None] >> shifts) & 1
-        no_gain = (
-            ear_next[rows]
-            & busy_next[cols]
-            & (d < smaller + 2)
-            & (d < np.roll(smaller, -1, axis=1) + 2)
-        )
+        no_gain = (d < smaller + 2) & (d < np.roll(smaller, -1, axis=1) + 2)
 
-        def failure(k, **fields) -> dict:
+        def failure(t, u, k, **fields) -> dict:
             return {
-                "t": slc.triangulation(int(rows[k])).text(),
-                "u": slc.triangulation(int(cols[k])).text(),
+                "t": slc.triangulation(int(t[k])).text(),
+                "u": slc.triangulation(int(u[k])).text(),
                 "distance": int(d[k, 0]),
                 **fields,
             }
 
         failures += [
-            failure(k, a=int(a), deleted=int(smaller[k, a]),
+            failure(rows, cols, k, a=int(a), deleted=int(smaller[k, a]),
                     problem="deletion increased the distance")
             for k, a in zip(*np.nonzero(d < smaller))
         ]
         failures += [
-            failure(k, a=int(a), deleted=int(smaller[k, a]),
+            failure(rows, cols, k, a=int(a), deleted=int(smaller[k, a]),
                     incident_flips=int(incident[k, a]),
                     problem="geodesic flip count breaks the bound")
             for k, a in zip(*np.nonzero(d < smaller + incident))
         ]
+        # the ear step holds in T and U alike: `t` is the side with the ear
         failures += [
-            failure(k, edge=[int(a), (int(a) + 1) % n],
+            failure(ear, busy, k, edge=[int(a), (int(a) + 1) % n],
                     problem="no deletion gains two flips at the ear")
-            for k, a in zip(*np.nonzero(no_gain))
+            for ear, busy in ((rows, cols), (cols, rows))
+            for k, a in zip(*np.nonzero(ear_next[ear] & busy_next[busy] & no_gain))
         ]
     return _finish("deletion", n, count * (count + 1) // 2, failures, started)
 

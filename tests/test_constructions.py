@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polyflip import (
@@ -24,6 +26,7 @@ from polyflip import (
     validate_triangulation,
     zigzag,
 )
+from polyflip.constructions import Shelling, _restricted_ear, non_neighbors
 
 
 def gap_at(t, v):
@@ -157,6 +160,62 @@ def test_omega_membership_requires_ear():
     z = Triangulation.from_pairs(6, [(1, 3), (1, 4), (0, 4)])
     assert 0 not in z.ears()
     assert omega_member(t, 0, z) is None
+
+
+def test_omega_member_outside_the_polygon_is_none():
+    t = comb(6, 0)
+    for v in (6, 99):
+        assert omega_member(t, v, t) is None
+
+
+def _restricted_ear_by_definition(t, removed, c):
+    """c meets no diagonal of t that joins two kept vertices not adjacent on
+    the kept polygon."""
+    keep = [w for w in t.polygon.vertices if w not in removed]
+    sides = {edge(keep[i], keep[(i + 1) % len(keep)]) for i in range(len(keep))}
+    return not any(
+        c in e for e in t.diagonals if set(e) <= set(keep) and e not in sides
+    )
+
+
+def test_restricted_ear_matches_definition_on_reachable_sets():
+    """Every removed set reverse ear removals reach from the empty set, for
+    every (T, v) at n <= 8: the neighbour-count rule agrees with the
+    restricted-diagonal definition on every remaining target vertex."""
+    checked = 0
+    for n in range(4, 9):
+        for t in enumerate_all(n):
+            for v in range(n):
+                target = frozenset(non_neighbors(t, v))
+                level = {frozenset()}
+                while level:
+                    grown = set()
+                    for removed in level:
+                        for c in target - removed:
+                            ear = _restricted_ear_by_definition(t, removed, c)
+                            assert _restricted_ear(t, removed, c) == ear
+                            checked += 1
+                            if ear:
+                                grown.add(removed | {c})
+                    level = grown
+    assert checked > 10_000
+
+
+def test_validate_shelling_matches_definition_on_every_order():
+    """Every ordering of the non-neighbours at n=6,7 validates iff removing
+    its vertices last to first leaves an ear each time."""
+    rejected = 0
+    for n in (6, 7):
+        for t in enumerate_all(n):
+            for v in range(n):
+                for order in itertools.permutations(non_neighbors(t, v)):
+                    removed, ok = frozenset(), True
+                    for c in reversed(order):
+                        ok = ok and _restricted_ear_by_definition(t, removed, c)
+                        removed |= {c}
+                    assert validate_shelling(t, Shelling(v, order)) == ok
+                    rejected += not ok
+    assert rejected > 0
 
 
 def test_omega_deletion_stability():

@@ -16,6 +16,7 @@ from polyflip import (
     crossing,
     edge,
     enumerate_all,
+    flip,
     validate_triangulation,
 )
 
@@ -123,6 +124,55 @@ def test_triangles_clockwise_triples():
                 + p.oriented_length(c, a)
             )
             assert total == 7
+
+
+def _scanned(t):
+    """Edge-scan oracles for the neighbour-map predicates of t."""
+    edges = t.diagonals | t.polygon.boundary_edges()
+    vs = t.polygon.vertices
+    nbrs = {v: {w for w in vs if w != v and edge(v, w) in edges} for v in vs}
+    degree = {v: sum(v in e for e in t.diagonals) for v in vs}
+    tris = sorted(
+        (a, b, c)
+        for a in vs for b in vs for c in vs
+        if a < b < c and {edge(a, b), edge(b, c), edge(a, c)} <= edges
+    )
+    inserted = {
+        d: edge(*[w for w in vs if w not in d and edge(d[0], w) in edges
+                  and edge(d[1], w) in edges])
+        for d in t.diagonals
+    }
+    return nbrs, degree, tris, inserted
+
+
+def test_neighbour_map_matches_edge_scans():
+    for n in range(3, 10):
+        for t in enumerate_all(n):
+            for u in (t, t.delete(0)) if n > 3 else (t,):
+                nbrs, degree, tris, inserted = _scanned(u)
+                assert {v: u.neighbours(v) for v in u.polygon.vertices} == nbrs
+                assert {v: u.interior_degree(v) for v in u.polygon.vertices} == degree
+                assert u.ears() == {v for v, k in degree.items() if k == 0}
+                assert u.max_interior_degree() == max(degree.values())
+                assert u.triangles() == tris
+                assert {d: flip(u, d)[1].inserted for d in u.diagonals} == inserted
+                vs = u.polygon.vertices
+                joined = {(v, w) for v in vs for w in vs if v != w and u.has_edge((v, w))}
+                assert joined == {(v, w) for v in nbrs for w in nbrs[v]}
+
+
+def test_neighbours_outside_the_polygon_raise():
+    t = comb(6, 0)
+    for v in (6, -1, 99):
+        with pytest.raises(InvalidEdgeError):
+            t.neighbours(v)
+        with pytest.raises(InvalidEdgeError):
+            t.interior_degree(v)
+        assert not t.has_edge((0, v))
+    # the cached map stays outside equality and hashing
+    twin = Triangulation(t.polygon, t.diagonals)
+    t.neighbours(0)
+    assert t == twin and hash(t) == hash(twin)
 
 
 def test_delete_vertex_merges_into_successor():

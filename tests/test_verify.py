@@ -251,6 +251,57 @@ def test_deletion_lemmas_catch_a_wrong_incidence_bit(monkeypatch):
     assert {f["problem"] for f in r.failures} == {"geodesic flip count breaks the bound"}
 
 
+EAR_PROBLEM = "no deletion gains two flips at the ear"
+
+
+def test_deletion_ear_step_checks_both_orientations(monkeypatch):
+    """With every deleted distance inflated, each ear instance the claim
+    evaluates fails, so its ear failures list exactly those instances.  They
+    must be every ordered pair (T, U) and boundary edge {a, a+1} such that
+    a+1 is an ear of T with interior degree >= 2 in U, T reported as `t`."""
+    n = 7
+    real = verify_module.distance_matrix
+
+    def inflated(m, max_nodes=None):
+        mat = real(m, max_nodes)
+        return mat + 100 if m == n - 1 else mat
+
+    monkeypatch.setattr(verify_module, "distance_matrix", inflated)
+    r = verify_deletion_lemmas(n)
+    seen = [(f["t"], f["u"], tuple(f["edge"])) for f in r.failures if f["problem"] == EAR_PROBLEM]
+
+    ts = [t for t in polyflip.enumerate_all(n)]
+    expected = [
+        (t.text(), u.text(), (a, (a + 1) % n))
+        for t in ts
+        for u in ts
+        for a in range(n)
+        if sum((a + 1) % n in e for e in t.diagonals) == 0
+        and sum((a + 1) % n in e for e in u.diagonals) >= 2
+    ]
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == sorted(expected)
+
+
+def test_deletion_ear_fault_seen_only_in_reverse_orientation(monkeypatch):
+    """The last node reads as all ears and no vertex of interior degree >= 2.
+    It is the higher-indexed node of every pair it belongs to, except its
+    pair with itself, so only the reverse orientation can see the fault."""
+    real = verify_module.interior_degrees
+
+    def last_all_ears(slc):
+        degrees = real(slc).copy()
+        degrees[-1] = 0
+        return degrees
+
+    monkeypatch.setattr(verify_module, "interior_degrees", last_all_ears)
+    r = verify_deletion_lemmas(7)
+    last = build_slice(7).triangulation(41).text()
+    assert r.status == "fail"
+    assert {f["problem"] for f in r.failures} == {EAR_PROBLEM}
+    assert {f["t"] for f in r.failures} == {last}
+
+
 def test_deletion_lemmas_n10_in_time_and_memory():
     script = (
         "import resource, time\n"
